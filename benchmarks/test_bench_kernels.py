@@ -428,18 +428,20 @@ def test_bench_kernels():
         with use_kernels(True):
             saved_min_points = shard_module.VECTOR_MIN_POINTS
             try:
-                for size in (4, 8, 16, 32, 64, 128):
+                for size in (4, 8, 16, 32, 64, 96, 128, 256):
                     shard = _probe_shard(size)
                     timings = {}
                     for label, threshold in (
                         ("scalar", 10**9), ("vector", 0),
                     ):
                         shard_module.VECTOR_MIN_POINTS = threshold
-                        started = time.perf_counter()
-                        for _ in range(400):
-                            shard.fits_all_points(probe_candidate)
+
+                        def run_probes():
+                            for _ in range(400):
+                                shard.fits_all_points(probe_candidate)
+
                         timings[label] = (
-                            (time.perf_counter() - started) / 400 * 1e6
+                            _best_of(_REPEATS, run_probes) / 400 * 1e6
                         )
                     crossover.append(
                         {

@@ -40,7 +40,6 @@ against shards freshly built by a from-scratch batch re-analysis.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Iterable, Sequence
 
@@ -54,22 +53,11 @@ __all__ = ["ShardState", "ShardProbeMatrix"]
 
 _TOL = 1e-9
 
-
-def _vector_min_points_default() -> int:
-    """``REPRO_VECTOR_MIN_POINTS`` override of the scalar/vector crossover."""
-    raw = os.environ.get("REPRO_VECTOR_MIN_POINTS", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 16
-    return value if value >= 0 else 16
-
-
-#: Below this many affected test points the scalar probe loop wins; above it
-#: :meth:`ShardState.fits_all_points` switches to one vectorized numpy pass.
-#: Overridable via ``REPRO_VECTOR_MIN_POINTS`` (see docs/PERFORMANCE.md for
-#: the micro-benchmark behind the default of 16); monkeypatchable in tests.
-VECTOR_MIN_POINTS = _vector_min_points_default()
+#: Below this many affected test points the scalar probe loop wins; at or
+#: above it :meth:`ShardState.fits_all_points` switches to one vectorized
+#: numpy pass (see docs/PERFORMANCE.md for the micro-benchmark behind the
+#: default); monkeypatchable in tests.
+VECTOR_MIN_POINTS = 96
 
 
 class ShardState:
@@ -210,19 +198,6 @@ class ShardState:
             - self._cum_util_deadline[p - 1]
         )
 
-    def demand_with(self, task: SporadicTask, t: float) -> float:
-        """Aggregate ``DBF*`` demand at *t* if *task* joined the shard."""
-        return self.demand(t) + task.dbf_approx(t)
-
-    def test_points_at_or_after(self, t: float) -> list[float]:
-        """Existing test points (task deadlines) ``>= t``, deduplicated."""
-        points: list[float] = []
-        for i in range(bisect_left(self._deadlines, t), len(self._deadlines)):
-            point = self._deadlines[i]
-            if not points or point != points[-1]:
-                points.append(point)
-        return points
-
     # ------------------------------------------------------------------
     # admission probes
     # ------------------------------------------------------------------
@@ -246,11 +221,11 @@ class ShardState:
         points strictly before ``D_new`` were verified when their tasks were
         placed).
 
-        Large shards answer the re-check in one vectorized numpy pass over
-        the prefix arrays (same float expressions as :meth:`demand` /
-        ``dbf_approx``, hence the same verdict); small shards keep the
-        scalar loop, which beats the numpy call overhead below
-        :data:`VECTOR_MIN_POINTS` points.
+        Both evaluation strategies compute, per test point ``t``, the float
+        expression ``demand(t) + dbf_approx(t)`` with :meth:`demand`'s
+        operand order, hence the same verdict.  Small ranges take one scalar
+        pass over the prefix arrays; at :data:`VECTOR_MIN_POINTS` points and
+        above (kernels on) one vectorized numpy pass beats the loop.
         """
         if not self.fits_at_deadline(task):
             return False
@@ -266,8 +241,23 @@ class ShardState:
                 task.wcet + task.utilization * (points - task.deadline)
             )
             return not bool(np.any(with_task > points + _TOL))
-        for point in self.test_points_at_or_after(task.deadline):
-            if self.demand_with(task, point) > point + _TOL:
+        deadlines = self._deadlines
+        cum_wcet = self._cum_wcet
+        cum_util = self._cum_util
+        cum_util_deadline = self._cum_util_deadline
+        wcet, util, deadline = task.wcet, task.utilization, task.deadline
+        last = len(deadlines) - 1
+        for j in range(lo, last + 1):
+            t = deadlines[j]
+            # A duplicated deadline is one test point, read at the last index
+            # of its group -- where demand()'s bisect_right lands.
+            if j < last and deadlines[j + 1] == t:
+                continue
+            if (
+                cum_wcet[j] + cum_util[j] * t - cum_util_deadline[j]
+                + (wcet + util * (t - deadline))
+                > t + _TOL
+            ):
                 return False
         return True
 

@@ -43,6 +43,9 @@ same task-to-bucket assignment.  The supporting invariants:
 4. after a low-density departure, tasks admitted *before* it are unaffected
    (their probes never saw it) and tasks admitted after are replayed
    first-fit from the surviving prefix -- which is precisely the re-analysis.
+   By the same argument a bucket whose contents the replay has not changed
+   answers every probe as it did at admission, so only the buckets that
+   diverged are rebuilt and probed (:meth:`AdmissionController._replay_suffix`).
 
 First-fit is not monotone under removal: very rarely, the replay after a
 departure cannot place every surviving task.  The compaction pass is
@@ -58,6 +61,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from bisect import insort
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -1057,7 +1061,13 @@ class AdmissionController:
         clean = True
         if self._repack:
             occupied_before = sum(1 for b in self._buckets if b)
-            migrations, clean = self._replay_suffix(entry.seq)
+            # A canonical packing diverges only where the departed task sat;
+            # any other packing is replayed bucket by bucket from scratch.
+            diverged = (
+                (entry.bucket,) if self._canonical
+                else range(len(self._buckets))
+            )
+            migrations, clean = self._replay_suffix(entry.seq, diverged)
             if clean and _metrics.enabled:
                 # Buckets the compaction emptied: capacity consolidated back
                 # into whole reusable processors, the quantity EXP-O showed
@@ -1128,8 +1138,22 @@ class AdmissionController:
         if from_seq < first_seq:
             self._canonical = True
 
-    def _replay_suffix(self, after_seq: int) -> tuple[int, bool]:
+    def _replay_suffix(
+        self, after_seq: int, diverged: Iterable[int]
+    ) -> tuple[int, bool]:
         """First-fit replay of low entries admitted after *after_seq*.
+
+        Only *diverged* buckets are rebuilt and probed: the ones passed in,
+        every bucket an entry leaves, and every bucket first-fit has to
+        probe past an entry's own diverged bucket.  A diverged bucket gets a
+        fresh ``ShardState`` of its replayed contents; a clean one keeps its
+        entry list and ``ShardState``.  Passing only the departed task's
+        bucket is exact when the packing is canonical (each entry's bucket
+        is its first fit among the buckets restricted to earlier-admitted
+        entries): a clean bucket restricted that way holds what it held
+        before the replay, so a clean bucket left of an entry's bucket is a
+        known reject and its own clean bucket a known accept.  Passing every
+        bucket replays every placement from scratch.
 
         Transactional: the replayed assignment replaces the current one only
         if every task places (each individual migration thereby re-proven by
@@ -1139,34 +1163,59 @@ class AdmissionController:
         suffix = [e for e in self._low.values() if e.seq > after_seq]
         if not suffix:
             return 0, True
-        new_buckets: list[list[_LowEntry]] = [
-            [e for e in bucket if e.seq < after_seq]
-            for bucket in self._buckets
-        ]
-        new_shards = [
-            ShardState((e.sporadic, e.seq) for e in bucket)
-            for bucket in new_buckets
-        ]
-        placed: list[tuple[_LowEntry, int]] = []
+        new_buckets = list(self._buckets)
+        new_shards = list(self._shards)
+        is_diverged = [False] * len(new_shards)
+        # Diverged bucket indices, ascending: the first-fit probe order.
+        order: list[int] = []
+
+        def diverge(k: int, before_seq: int) -> None:
+            # Clean until now, so the bucket's replayed contents are its
+            # entries admitted before the entry being replayed.
+            kept = [e for e in self._buckets[k] if e.seq < before_seq]
+            new_buckets[k] = kept
+            new_shards[k] = ShardState((e.sporadic, e.seq) for e in kept)
+            is_diverged[k] = True
+            insort(order, k)
+
+        for k in diverged:
+            diverge(k, after_seq)
+        moved: list[tuple[_LowEntry, int]] = []
         for entry in suffix:
-            for k, shard in enumerate(new_shards):
-                if shard.fits_all_points(entry.sporadic):
-                    new_buckets[k].append(entry)
-                    shard.add(entry.sporadic, entry.seq)
-                    placed.append((entry, k))
+            home = entry.bucket
+            target = None
+            for k in order:
+                if k > home:
                     break
-            else:
-                # First-fit anomaly: the survivors no longer pack under
-                # first-fit.  Safety obligation violated -> keep the old
-                # (sound) assignment.
-                return 0, False
-        migrations = sum(1 for entry, k in placed if k != entry.bucket)
-        for entry, k in placed:
+                if new_shards[k].fits_all_points(entry.sporadic):
+                    target = k
+                    break
+            if target is None:
+                if not is_diverged[home]:
+                    continue  # its clean bucket: the known accept
+                for k in range(home + 1, len(new_shards)):
+                    if not is_diverged[k]:
+                        diverge(k, entry.seq)
+                    if new_shards[k].fits_all_points(entry.sporadic):
+                        target = k
+                        break
+                else:
+                    # First-fit anomaly: the survivors no longer pack under
+                    # first-fit.  Safety obligation violated -> keep the old
+                    # (sound) assignment.
+                    return 0, False
+            if target != home:
+                moved.append((entry, target))
+                if not is_diverged[home]:
+                    diverge(home, entry.seq)
+            new_buckets[target].append(entry)
+            new_shards[target].add(entry.sporadic, entry.seq)
+        for entry, k in moved:
             entry.bucket = k
         self._buckets = new_buckets
         self._shards = new_shards
         self._probe_matrix = None
-        return migrations, True
+        return len(moved), True
 
     def compact(self) -> tuple[int, bool]:
         """Full defragmentation: replay *every* low-density placement.
@@ -1176,7 +1225,7 @@ class AdmissionController:
         :attr:`canonical`; a rejected pass changes nothing.
         """
         occupied_before = sum(1 for b in self._buckets if b)
-        migrations, clean = self._replay_suffix(0)
+        migrations, clean = self._replay_suffix(0, range(len(self._buckets)))
         if clean:
             if _metrics.enabled:
                 freed = occupied_before - sum(1 for b in self._buckets if b)

@@ -69,15 +69,15 @@ def encode(message: dict) -> bytes:
 def decode(line: bytes | str) -> dict:
     """Parse one protocol line into a request/response object.
 
-    Raises :class:`ServiceError` on unparsable JSON or a non-object
-    payload -- the server answers those with an error response instead of
-    dropping the connection.
+    Raises :class:`ServiceError` on unparsable JSON (nesting too deep for
+    the parser included) or a non-object payload -- the server answers
+    those with an error response instead of dropping the connection.
     """
     if isinstance(line, bytes):
         line = line.decode("utf-8", errors="replace")
     try:
         message = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ServiceError(f"unparsable protocol line: {exc}") from exc
     if not isinstance(message, dict):
         raise ServiceError(

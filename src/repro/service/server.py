@@ -600,7 +600,9 @@ class AdmissionServer:
         if method == "POST" and path in ("/admit", "/depart"):
             try:
                 payload = json.loads(body.decode("utf-8")) if body else {}
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            except (
+                json.JSONDecodeError, UnicodeDecodeError, RecursionError
+            ) as exc:
                 return (
                     "400 Bad Request", "application/json",
                     json.dumps(error_response("bad_request", str(exc))) + "\n",

@@ -93,6 +93,8 @@ class TestProtocol:
             decode(b"{truncated")
         with pytest.raises(ServiceError):
             decode(b"[1, 2, 3]\n")  # an array is not a request
+        with pytest.raises(ServiceError):
+            decode(b"[" * 100000)  # too deep: the parser's RecursionError
 
     def test_response_shapes(self):
         ok = ok_response("ping", extra=1)
@@ -376,16 +378,18 @@ class TestAdmissionServer:
                 writer.write(encode(
                     {"op": "admit", "task": task_to_dict(low_task("a"))}
                 ))
+                writer.write(b"[" * 100000 + b"\n")  # nested too deep
+                writer.write(encode({"op": "ping"}))
                 await writer.drain()
-                responses = [decode(await reader.readline()) for _ in range(6)]
+                responses = [decode(await reader.readline()) for _ in range(8)]
                 writer.close()
                 return responses
             finally:
                 await server.aclose()
 
-        garbage, unknown, ghost, malformed, good, duplicate = asyncio.run(
-            scenario()
-        )
+        (
+            garbage, unknown, ghost, malformed, good, duplicate, nested, ping,
+        ) = asyncio.run(scenario())
         assert not garbage["ok"] and garbage["code"] == "bad_request"
         assert not unknown["ok"] and unknown["code"] == "bad_request"
         assert not ghost["ok"] and ghost["code"] == "online_error"
@@ -393,6 +397,8 @@ class TestAdmissionServer:
         assert good["ok"] and good["decision"]["accepted"]
         assert not duplicate["ok"] and duplicate["code"] == "online_error"
         assert "already admitted" in duplicate["error"]
+        assert not nested["ok"] and nested["code"] == "bad_request"
+        assert ping["ok"] and ping["op"] == "ping"
 
     def test_pipelined_admits_coalesce_into_batches(self, tmp_path):
         tasks = [low_task(f"p{i}", 0.1) for i in range(24)]
@@ -508,6 +514,10 @@ class TestAdmissionServer:
                     "bad_json": await http(port, (
                         b"POST /admit HTTP/1.0\r\nContent-Length: 4\r\n\r\n{{{{"
                     )),
+                    "deep_json": await http(port, (
+                        b"POST /depart HTTP/1.0\r\nContent-Length: 100000"
+                        b"\r\n\r\n" + b"[" * 100000
+                    )),
                 }
             finally:
                 await server.aclose()
@@ -528,6 +538,9 @@ class TestAdmissionServer:
         assert b"service_admits" in body  # Prometheus exposition
         assert results["missing"][0] == "404 Not Found"
         assert results["bad_json"][0] == "400 Bad Request"
+        status, body = results["deep_json"]
+        assert status == "400 Bad Request"
+        assert json.loads(body)["code"] == "bad_request"
 
 
 # ---------------------------------------------------------------------------
