@@ -1,22 +1,21 @@
-"""Kernel bench: compiled LS / vectorized DBF* / QPA vs the reference paths.
+"""Kernel bench: compiled LS / batched DBF* probes / QPA vs the reference paths.
 
-Three micro-benchmarks, each timing the same workload with the compiled
-kernels off (the plain-Python reference implementations) and on:
+Each section times one workload two ways -- the plain-Python reference
+implementation (or the strategy a kernel replaced) and the fast path:
 
 * **MINPROCS mu-search** -- the Fig. 3 search over a batch of wide,
   tight-deadline DAG tasks; the kernel side reuses one ``CompiledDAG`` per
   task and defers Slot/validation work to the fitting attempt.
-* **PARTITION all-points probe** -- order-independent ``DBF*`` first-fit
-  placement of a large low-density set, where every probe re-checks all
-  affected shard test points (the online controller's admission path).
+* **mu-search strategy** -- the bracketed search vs the linear scan.
+* **batched probes** -- ``admit_many``'s ``ShardProbeMatrix`` broadcast vs
+  the scalar first-fit scan over warm, crowded shards.
 * **exact-EDF oracle** -- processor-demand feasibility of high-utilization
   sporadic sets with wide period spreads (large testing intervals): QPA
   (Zhang & Burns 2009) vs the full breakpoint scan.
 
 Every workload's *results* are asserted identical between the two runs (the
 bit-identity contract), timings land in ``benchmarks/BENCH_kernels.json``,
-and the ISSUE's speedup floors -- >= 3x on MINPROCS, >= 5x on the exact
-oracle -- are gated here.
+and the speedup floors are gated here.
 """
 
 from __future__ import annotations
@@ -26,14 +25,11 @@ import random
 import time
 from pathlib import Path
 
-import repro.core.shard as shard_module
 import repro.online.controller as controller_module
 from repro.core.cache import caches
 from repro.core.dbf import demand_breakpoints, edf_exact_test, testing_interval_bound
 from repro.core.kernels import use_kernels
 from repro.core.minprocs import minprocs
-from repro.core.partition import AdmissionTest, TaskOrder, partition_sporadic
-from repro.core.shard import ShardState
 from repro.model.dag import DAG
 from repro.model.sporadic import SporadicTask
 from repro.model.task import SporadicDAGTask
@@ -120,22 +116,6 @@ def _mu_search_workload(count: int = 6) -> list[SporadicDAGTask]:
     return tasks
 
 
-def _partition_workload(count: int = 800) -> list[SporadicTask]:
-    """Many light tasks on few processors, so each shard accumulates
-    hundreds of DBF* test points and every first-fit probe sweeps them."""
-    rng = random.Random(_SEED + 1)
-    tasks = []
-    for index in range(count):
-        period = rng.uniform(20.0, 400.0)
-        deadline = period * rng.uniform(0.3, 0.9)
-        wcet = deadline * rng.uniform(0.002, 0.01)
-        tasks.append(
-            SporadicTask(wcet=wcet, deadline=deadline, period=period,
-                         name=f"lo{index}")
-        )
-    return tasks
-
-
 def _admit_workload(count: int = 500) -> list[SporadicDAGTask]:
     """Light single-vertex DAG tasks for the admission-controller batch."""
     rng = random.Random(_SEED + 3)
@@ -193,22 +173,6 @@ def _reject_candidates(count: int = 400) -> list[SporadicDAGTask]:
         )
         for index in range(count)
     ]
-
-
-def _probe_shard(points: int) -> ShardState:
-    """A shard holding *points* tasks, every deadline a distinct test point."""
-    rng = random.Random(_SEED + 4)
-    shard = ShardState()
-    for rank in range(points):
-        period = rng.uniform(50.0, 500.0)
-        deadline = period * rng.uniform(0.4, 0.9)
-        wcet = deadline * rng.uniform(0.0005, 0.002)
-        shard.add(
-            SporadicTask(wcet=wcet, deadline=deadline, period=period,
-                         name=f"pt{rank}"),
-            rank,
-        )
-    return shard
 
 
 def _oracle_workload(sets: int = 8, tasks_per_set: int = 40):
@@ -324,32 +288,6 @@ def test_bench_kernels():
             "speedup": mu_search_speedup,
         }
 
-        # -- PARTITION all-points probe ------------------------------------
-        low_tasks = _partition_workload()
-
-        def run_partition():
-            return partition_sporadic(
-                low_tasks, 4, order=TaskOrder.GIVEN,
-                admission=AdmissionTest.DBF_APPROX_ALL_POINTS,
-            )
-
-        with use_kernels(False):
-            ref_part = run_partition()
-        with use_kernels(True):
-            kern_part = run_partition()
-        assert ref_part.success
-        assert kern_part.success == ref_part.success
-        assert kern_part.assignment == ref_part.assignment
-        old_s, new_s = _time_both(run_partition)
-        document["partition_probe"] = {
-            "tasks": len(low_tasks),
-            "processors": 4,
-            "placed": sum(len(b) for b in ref_part.assignment),
-            "old_seconds": old_s,
-            "new_seconds": new_s,
-            "speedup": old_s / new_s,
-        }
-
         # -- batched admission probes (admit_many matrix vs scalar scan) ---
         # Correctness leg: an all-accept batch on fresh controllers, where
         # every accept dirties a column and the lazy re-validation path does
@@ -420,43 +358,6 @@ def test_bench_kernels():
             "speedup": batched_speedup,
         }
 
-        # -- VECTOR_MIN_POINTS crossover micro-bench -----------------------
-        probe_candidate = SporadicTask(
-            wcet=0.01, deadline=1.0, period=1000.0, name="probe"
-        )
-        crossover = []
-        with use_kernels(True):
-            saved_min_points = shard_module.VECTOR_MIN_POINTS
-            try:
-                for size in (4, 8, 16, 32, 64, 96, 128, 256):
-                    shard = _probe_shard(size)
-                    timings = {}
-                    for label, threshold in (
-                        ("scalar", 10**9), ("vector", 0),
-                    ):
-                        shard_module.VECTOR_MIN_POINTS = threshold
-
-                        def run_probes():
-                            for _ in range(400):
-                                shard.fits_all_points(probe_candidate)
-
-                        timings[label] = (
-                            _best_of(_REPEATS, run_probes) / 400 * 1e6
-                        )
-                    crossover.append(
-                        {
-                            "points": size,
-                            "scalar_us": timings["scalar"],
-                            "vector_us": timings["vector"],
-                        }
-                    )
-            finally:
-                shard_module.VECTOR_MIN_POINTS = saved_min_points
-        document["vector_min_points"] = {
-            "default": shard_module.VECTOR_MIN_POINTS,
-            "per_probe_us": crossover,
-        }
-
         # -- exact-EDF oracle: QPA vs breakpoint scan ----------------------
         oracle_sets = _oracle_workload()
         breakpoints = sum(
@@ -485,7 +386,7 @@ def test_bench_kernels():
         }
 
         document["equivalence"] = {
-            "minprocs": True, "mu_search": True, "partition": True,
+            "minprocs": True, "mu_search": True,
             "batched_probes": True, "exact_oracle": True,
         }
         document["floors"]["mu_search"] = _MU_SEARCH_FLOOR

@@ -26,10 +26,9 @@ arguments is exactly the paper's algorithm.
 
 The ``DBF*`` admission probes are answered by per-processor
 :class:`~repro.core.shard.ShardState` ledgers; with the compiled kernels
-enabled (:mod:`repro.core.kernels`, the default) the all-points probe's
-first-fit scans run as one vectorized pass per processor and
+enabled (:mod:`repro.core.kernels`, the default)
 :meth:`PartitionResult.verify` with ``exact=True`` uses the QPA oracle --
-both bit-identical to the scalar reference paths.
+bit-identical to the breakpoint-scan reference path.
 """
 
 from __future__ import annotations

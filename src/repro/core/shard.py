@@ -46,18 +46,11 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.errors import AnalysisError
-from repro.core.kernels import flags as _kernel_flags
 from repro.model.sporadic import SporadicTask
 
 __all__ = ["ShardState", "ShardProbeMatrix"]
 
 _TOL = 1e-9
-
-#: Below this many affected test points the scalar probe loop wins; at or
-#: above it :meth:`ShardState.fits_all_points` switches to one vectorized
-#: numpy pass (see docs/PERFORMANCE.md for the micro-benchmark behind the
-#: default); monkeypatchable in tests.
-VECTOR_MIN_POINTS = 96
 
 
 class ShardState:
@@ -108,15 +101,15 @@ class ShardState:
         self._cum_wcet = cum_wcet
         self._cum_util = cum_util
         self._cum_util_deadline = cum_util_deadline
-        # Lazily-built numpy mirrors of the prefix arrays (vectorized probe).
+        # Lazily-built numpy mirrors of the prefix arrays (ShardProbeMatrix).
         self._arrays: tuple[np.ndarray, ...] | None = None
 
     def _numpy_arrays(self) -> tuple[np.ndarray, ...]:
         """Numpy mirrors of ``(deadlines, cum_wcet, cum_util, cum_util_deadline)``.
 
-        Built on first vectorized probe after a mutation; the floats are the
-        same Python floats the scalar path reads, so both paths compute
-        bit-identical demands.
+        Built on the first :class:`ShardProbeMatrix` fill after a mutation;
+        the floats are the same Python floats :meth:`fits_all_points` reads,
+        so the matrix computes bit-identical demands.
         """
         arrays = self._arrays
         if arrays is None:
@@ -221,26 +214,13 @@ class ShardState:
         points strictly before ``D_new`` were verified when their tasks were
         placed).
 
-        Both evaluation strategies compute, per test point ``t``, the float
-        expression ``demand(t) + dbf_approx(t)`` with :meth:`demand`'s
-        operand order, hence the same verdict.  Small ranges take one scalar
-        pass over the prefix arrays; at :data:`VECTOR_MIN_POINTS` points and
-        above (kernels on) one vectorized numpy pass beats the loop.
+        One pass over the prefix arrays computes, per test point ``t``, the
+        float expression ``demand(t) + dbf_approx(t)`` with :meth:`demand`'s
+        operand order.
         """
         if not self.fits_at_deadline(task):
             return False
         lo = bisect_left(self._deadlines, task.deadline)
-        if _kernel_flags.enabled and len(self._deadlines) - lo >= VECTOR_MIN_POINTS:
-            deadlines, cum_wcet, cum_util, cum_util_deadline = self._numpy_arrays()
-            points = deadlines[lo:]
-            # bisect_right of each point within the full deadline list; every
-            # point is itself a stored deadline, so the index is >= 1.
-            idx = np.searchsorted(deadlines, points, side="right") - 1
-            demand = cum_wcet[idx] + cum_util[idx] * points - cum_util_deadline[idx]
-            with_task = demand + (
-                task.wcet + task.utilization * (points - task.deadline)
-            )
-            return not bool(np.any(with_task > points + _TOL))
         deadlines = self._deadlines
         cum_wcet = self._cum_wcet
         cum_util = self._cum_util
@@ -272,7 +252,7 @@ class ShardProbeMatrix:
     shards in a single NumPy broadcast.
 
     Bit-identity: each cell evaluates exactly the float expressions of
-    :meth:`ShardState.fits_at_deadline` and the vectorized branch of
+    :meth:`ShardState.fits_at_deadline` and the per-point scan of
     :meth:`ShardState.fits_all_points` -- same operand order, same
     ``_TOL`` comparisons -- so ``probe(task)[k] ==
     shards[k].fits_all_points(task)`` for every shard, and first-fit
@@ -389,7 +369,7 @@ class ShardProbeMatrix:
         fits &= 1.0 - self._util_total[sl][None, :] >= util - _TOL
         # fits_all_points, batched: candidate demand added at every existing
         # test point at or after its deadline (same grouping as the scalar
-        # vector branch: base + (C + u * (t - D))).
+        # scan: base + (C + u * (t - D))).
         with_task = self._base[sl] + (
             wcet[:, :, None] + util[:, :, None] * (points - deadline3)
         )

@@ -520,6 +520,13 @@ class AdmissionController:
         for bit.  ``restore(snapshot(c))`` is indistinguishable from ``c``:
         same snapshot, same future decisions.
 
+        The ``canonical`` flag is taken as stored, and it matters: it picks
+        the departure replay.  A snapshot that claims a canonical packing it
+        does not hold sends departures down the diverged-bucket shortcut,
+        which stays sound but leaves first-fit order.
+        :meth:`confirm_canonical` checks the claim; ``recover(...,
+        verify=True)`` runs it on every checkpoint it loads.
+
         Raises
         ------
         PersistenceError
@@ -674,6 +681,19 @@ class AdmissionController:
             tuple(e.sporadic.name for e in bucket) for bucket in self._buckets
         ]
         return batch_buckets == mine_buckets
+
+    def confirm_canonical(self) -> bool:
+        """Clear :attr:`canonical` unless :meth:`matches_batch` confirms it.
+
+        The flag picks the departure replay: while it holds, a low-density
+        departure rebuilds and probes only the diverged buckets, which is
+        exact only for the canonical packing.  :meth:`restore` takes the
+        flag from the snapshot as stored; this is the one-off check for a
+        snapshot that is not trusted.  Returns the resulting flag.
+        """
+        if self._canonical and not self.matches_batch():
+            self._canonical = False
+        return self._canonical
 
     # ------------------------------------------------------------------
     # admission
@@ -834,10 +854,11 @@ class AdmissionController:
         """First-fit scan of the shared shards with the order-independent
         ``DBF*`` probe.
 
-        Each ``fits_all_points`` probe is answered by the shard's prefix-sum
-        ledger; with the compiled kernels on (the default) crowded shards
-        evaluate every affected test point in one vectorized pass -- same
-        verdicts, so replayed decision traces are byte-identical either way.
+        Each ``fits_all_points`` probe is one pass over the shard's
+        prefix-sum ledger; inside a crowded :meth:`admit_many` batch the
+        probes come from one :class:`ShardProbeMatrix` broadcast instead --
+        same verdicts, so replayed decision traces are byte-identical either
+        way.
         """
         sporadic = task.to_sporadic()
         placed: int | None = None

@@ -597,7 +597,10 @@ def recover(
     With ``verify=True`` the recovered state is additionally oracle-checked:
     it must pass :meth:`AdmissionController.verify` (pseudo-polynomial exact
     test with ``exact=True``) and, while canonical, match the from-scratch
-    batch re-analysis (:meth:`AdmissionController.matches_batch`).
+    batch re-analysis (:meth:`AdmissionController.matches_batch`).  A
+    checkpoint's ``canonical`` claim is checked the same way before the
+    replay (:meth:`AdmissionController.confirm_canonical`) and cleared if
+    the re-analysis refutes it.
 
     Returns ``(controller, report)``.
     """
@@ -632,6 +635,14 @@ def _recover(
                 f"checkpoint reflects {start} journal record(s) but "
                 f"{journal} holds only {len(records)}; the journal was "
                 "truncated behind the checkpoint's back"
+            )
+        if verify and controller.canonical and not controller.confirm_canonical():
+            # The flag picks the departure replay; the journal's departures
+            # must not take the canonical shortcut on a refuted claim.
+            _log.warning(
+                "%s: checkpoint claims a canonical packing that differs from "
+                "the batch re-analysis; departures replay every bucket",
+                checkpoint,
             )
     else:
         genesis = records[0]

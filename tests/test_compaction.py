@@ -10,7 +10,8 @@ canonical, so these tests pin both halves:
   equals a from-scratch replay of every placement, the batch re-analysis,
   and freshly built shard ledgers, float for float;
 * a non-canonical packing is replayed over every bucket, not just the
-  departed task's;
+  departed task's, and a verified recovery does not trust a checkpoint
+  that claims canonical for such a packing;
 * a seeded trace whose replay hits a first-fit anomaly keeps the old
   assignment, turns non-canonical, replays later departures over every
   bucket, and a final ``compact()`` restores the canonical packing.
@@ -19,6 +20,7 @@ canonical, so these tests pin both halves:
 from __future__ import annotations
 
 import dataclasses
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +28,14 @@ from hypothesis import strategies as st
 from repro.core.shard import ShardState
 from repro.generation.traces import TraceConfig, generate_trace
 from repro.obs import collecting
-from repro.online import LOW_DENSITY, AdmissionController
+from repro.online import (
+    LOW_DENSITY,
+    AdmissionController,
+    DurableController,
+    Journal,
+    recover,
+    write_checkpoint,
+)
 from repro.online.controller import DepartureReceipt
 
 from strategies import low_task
@@ -76,24 +85,53 @@ def test_canonical_departures_equal_full_replay(
             assert shard.state_vector() == ShardState(shard.entries).state_vector()
 
 
-def test_non_canonical_departure_replays_every_bucket():
+def _parked_snapshot(canonical: bool) -> dict:
+    """a, b, c on three buckets, with c parked in bucket 2: a sound packing
+    first-fit would not produce (it puts c in bucket 0)."""
     controller = AdmissionController(3)
     for name, utilization in (("a", 0.6), ("b", 0.6), ("c", 0.1)):
         assert controller.admit(low_task(name, utilization)).accepted
     assert [controller.bucket_of(n) for n in "abc"] == [0, 1, 0]
-    # A sound packing first-fit would not produce: c parked in bucket 2.
     snapshot = controller.snapshot()
     for record in snapshot["tasks"]:
         if record["id"] == "c":
             record["bucket"] = 2
-    snapshot["canonical"] = False
-    controller = AdmissionController.restore(snapshot)
+    snapshot["canonical"] = canonical
+    return snapshot
+
+
+def test_non_canonical_departure_replays_every_bucket():
+    controller = AdmissionController.restore(_parked_snapshot(False))
     receipt = controller.depart("b")
     # Only b's bucket changed, yet c must replay against every bucket: the
     # first fit of c is bucket 0, not the emptied bucket 1.
     assert receipt.clean and receipt.migrations == 1
     assert controller.bucket_of("c") == 0
     assert controller.matches_batch()
+
+
+def test_recover_clears_a_refuted_canonical_claim(tmp_path):
+    # The primary knows its packing is not canonical; its checkpoint is then
+    # edited to claim it is.  Trusting the claim, b's departure would move c
+    # into the emptied bucket 1 -- the same receipt as the primary's, but a
+    # packing the batch re-analysis refutes.
+    primary = AdmissionController.restore(_parked_snapshot(False))
+    journal_path = tmp_path / "ctl.journal"
+    checkpoint_path = tmp_path / "ctl.ckpt.json"
+    with Journal(journal_path, fsync="off") as journal:
+        durable = DurableController(primary, journal)
+        write_checkpoint(primary, checkpoint_path, journal.entries)
+        receipt = durable.depart("b")
+    assert receipt.migrations == 1 and primary.bucket_of("c") == 0
+    document = json.loads(checkpoint_path.read_text())
+    document["state"]["canonical"] = True
+    checkpoint_path.write_text(json.dumps(document))
+
+    assert not AdmissionController.restore(document["state"]).confirm_canonical()
+    recovered, report = recover(checkpoint_path, journal_path, verify=True)
+    assert report.checkpoint_used and report.replayed == 1
+    assert not recovered.canonical
+    assert recovered.snapshot() == primary.snapshot()
 
 
 def test_compaction_anomaly_then_compact_restores_canonical():

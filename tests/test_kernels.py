@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.shard as shard_mod
 from repro.core import kernels
 from repro.core.cache import caches, caching
 from repro.core.dbf import (
@@ -44,7 +43,7 @@ from repro.core.list_scheduling import (
 )
 from repro.core.minprocs import minprocs
 from repro.core.partition import AdmissionTest, TaskOrder, partition_sporadic
-from repro.core.shard import ShardState
+from repro.core.shard import ShardProbeMatrix, ShardState
 from repro.errors import AnalysisError
 from repro.generation.tasksets import SystemConfig, generate_system
 from repro.model.dag import DAG
@@ -263,19 +262,22 @@ class TestShardVectorProbe:
     @settings(max_examples=50)
     @given(sporadic_sets(max_tasks=8), sporadic_tasks())
     def test_fits_all_points_identical(self, tasks, candidate):
+        # The single scan, the per-point definition (shard demand plus the
+        # candidate's DBF* at every stored deadline from its own on) and the
+        # ShardProbeMatrix broadcast give one verdict.
         shard = ShardState((task, rank) for rank, task in enumerate(tasks))
-        previous = shard_mod.VECTOR_MIN_POINTS
-        shard_mod.VECTOR_MIN_POINTS = 1  # force the vector path on
-        try:
-            with use_kernels(True):
-                fast = shard.fits_all_points(candidate)
-        finally:
-            shard_mod.VECTOR_MIN_POINTS = previous
-        with use_kernels(False):
-            slow = shard.fits_all_points(candidate)
-        assert fast == slow
+        reference = shard.fits_at_deadline(candidate) and all(
+            shard.demand(task.deadline) + candidate.dbf_approx(task.deadline)
+            <= task.deadline + _TOL
+            for task in tasks
+            if task.deadline >= candidate.deadline
+        )
+        assert shard.fits_all_points(candidate) == reference
+        assert ShardProbeMatrix([shard]).probe(candidate)[0] == reference
 
     def test_mutation_invalidates_numpy_mirror(self):
+        # Removing t2 frees the test point t=2, so the probe fits only
+        # afterwards; a row refreshed from a stale mirror would not say so.
         tasks = [
             SporadicTask(wcet=0.5, deadline=float(d), period=40.0, name=f"t{d}")
             for d in range(2, 22)
@@ -283,13 +285,15 @@ class TestShardVectorProbe:
         shard = ShardState()
         for rank, task in enumerate(tasks):
             shard.add(task, rank)
-        probe = SporadicTask(wcet=0.1, deadline=1.0, period=50.0)
-        assert shard.fits_all_points(probe)  # builds the numpy mirror
+        probe = SporadicTask(wcet=1.6, deadline=2.0, period=50.0)
+        matrix = ShardProbeMatrix([shard])  # builds the numpy mirror
+        assert not shard.fits_all_points(probe)
+        assert not matrix.probe(probe)[0]
         removed = shard.remove("t2")
         assert removed.deadline == 2.0
-        with use_kernels(False):
-            expected = shard.fits_all_points(probe)
-        assert shard.fits_all_points(probe) == expected
+        assert matrix.refresh_column(0, shard)
+        assert shard.fits_all_points(probe)
+        assert matrix.probe(probe)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.shard as shard_mod
 from repro.core.dbf import edf_approx_test, total_dbf_approx
-from repro.core.kernels import use_kernels
 from repro.core.partition import (
     AdmissionTest,
     TaskOrder,
@@ -134,10 +132,7 @@ class TestShardState:
         assert shard.fits_at_deadline(newcomer)  # t=2: demand 0, slack ok
         assert not shard.fits_all_points(newcomer)  # t=10: 9 + 2 + u*8 > 10
 
-    @pytest.mark.parametrize("vector", [False, True])
-    def test_fits_all_points_reads_whole_duplicate_group(
-        self, vector, monkeypatch
-    ):
+    def test_fits_all_points_reads_whole_duplicate_group(self):
         # Two residents share the test point t=10: its demand is 8, not the
         # 4 read at the first index of the group.
         shard = ShardState([
@@ -145,10 +140,8 @@ class TestShardState:
             (SporadicTask(wcet=4.0, deadline=10.0, period=100.0, name="b"), 1),
         ])
         newcomer = SporadicTask(wcet=2.0, deadline=2.5, period=100.0, name="n")
-        monkeypatch.setattr(shard_mod, "VECTOR_MIN_POINTS", 1 if vector else 10**9)
-        with use_kernels(vector):
-            assert shard.fits_at_deadline(newcomer)
-            assert not shard.fits_all_points(newcomer)  # 8 + 2 + 0.02*7.5 > 10
+        assert shard.fits_at_deadline(newcomer)
+        assert not shard.fits_all_points(newcomer)  # 8 + 2 + 0.02*7.5 > 10
 
 
 # ---------------------------------------------------------------------------
