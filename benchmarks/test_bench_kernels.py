@@ -1,4 +1,4 @@
-"""Kernel bench: compiled LS / batched DBF* probes / QPA vs the reference paths.
+"""Kernel bench: compiled LS / bracketed mu-search / QPA vs the reference paths.
 
 Each section times one workload two ways -- the plain-Python reference
 implementation (or the strategy a kernel replaced) and the fast path:
@@ -7,8 +7,6 @@ implementation (or the strategy a kernel replaced) and the fast path:
   tight-deadline DAG tasks; the kernel side reuses one ``CompiledDAG`` per
   task and defers Slot/validation work to the fitting attempt.
 * **mu-search strategy** -- the bracketed search vs the linear scan.
-* **batched probes** -- ``admit_many``'s ``ShardProbeMatrix`` broadcast vs
-  the scalar first-fit scan over warm, crowded shards.
 * **exact-EDF oracle** -- processor-demand feasibility of high-utilization
   sporadic sets with wide period spreads (large testing intervals): QPA
   (Zhang & Burns 2009) vs the full breakpoint scan.
@@ -25,7 +23,6 @@ import random
 import time
 from pathlib import Path
 
-import repro.online.controller as controller_module
 from repro.core.cache import caches
 from repro.core.dbf import demand_breakpoints, edf_exact_test, testing_interval_bound
 from repro.core.kernels import use_kernels
@@ -33,7 +30,6 @@ from repro.core.minprocs import minprocs
 from repro.model.dag import DAG
 from repro.model.sporadic import SporadicTask
 from repro.model.task import SporadicDAGTask
-from repro.online.controller import AdmissionController
 
 minprocs_module = __import__(
     "repro.core.minprocs", fromlist=["MU_SEARCH"]
@@ -50,11 +46,9 @@ _REPEATS = 5
 #: ISSUE 5 acceptance floors.
 _MINPROCS_FLOOR = 3.0
 _EXACT_FLOOR = 5.0
-#: ISSUE 10 floors: bracketed mu-search vs the PR 5 linear scan (kernels on
-#: both sides) on wide-mu-range tasks, and batched admit_many probes vs the
-#: scalar first-fit scan on a warm reject-heavy batch.
+#: Floor of the bracketed mu-search over the linear scan (kernels on both
+#: sides) on wide-mu-range tasks.
 _MU_SEARCH_FLOOR = 2.0
-_BATCHED_FLOOR = 2.0
 
 
 def _minprocs_workload(count: int = 8) -> list[SporadicDAGTask]:
@@ -114,65 +108,6 @@ def _mu_search_workload(count: int = 6) -> list[SporadicDAGTask]:
             SporadicDAGTask(dag, deadline, deadline * 1.5, name=f"wm{index}")
         )
     return tasks
-
-
-def _admit_workload(count: int = 500) -> list[SporadicDAGTask]:
-    """Light single-vertex DAG tasks for the admission-controller batch."""
-    rng = random.Random(_SEED + 3)
-    tasks = []
-    for index in range(count):
-        period = rng.uniform(20.0, 400.0)
-        deadline = period * rng.uniform(0.3, 0.9)
-        wcet = deadline * rng.uniform(0.002, 0.01)
-        tasks.append(
-            SporadicDAGTask(
-                DAG({0: wcet}, []), deadline, period, name=f"adm{index}"
-            )
-        )
-    return tasks
-
-
-def _warm_low_controller(
-    shards: int = 8, per_shard: int = 60
-) -> AdmissionController:
-    """A controller whose shards are all near the utilization ceiling.
-
-    Warm tasks share ``u = 0.99 / per_shard`` with ``period == deadline``
-    (so demand never binds during the fill), which makes first-fit pack
-    them strictly left to right: each shard accepts exactly *per_shard*
-    tasks before its utilization headroom drops below ``u`` and the stream
-    spills to the next shard.  Every shard ends with *per_shard* distinct
-    deadline test points and utilization 0.99.
-    """
-    util = 0.99 / per_shard
-    controller = AdmissionController(shards)
-    for index in range(shards * per_shard):
-        deadline = 10.0 + (index % per_shard) * 1.5
-        wcet = util * deadline
-        decision = controller.admit(
-            SporadicDAGTask(
-                DAG({0: wcet}, []), deadline, deadline, name=f"warm{index}"
-            )
-        )
-        assert decision.accepted
-    return controller
-
-
-def _reject_candidates(count: int = 400) -> list[SporadicDAGTask]:
-    """Candidates engineered to fail only the all-points demand scan.
-
-    Against the warm shards of :func:`_warm_low_controller`: deadline 5.0
-    sits below every stored test point (at-deadline demand 0, so the cheap
-    screen passes), utilization 0.005 fits the 0.01 headroom, but wcet 3.0
-    exceeds the ~1% slack the shard retains at its later test points -- the
-    rejection only surfaces in the O(points) scan, on every shard.
-    """
-    return [
-        SporadicDAGTask(
-            DAG({0: 3.0}, []), 5.0, 600.0, name=f"rej{index}"
-        )
-        for index in range(count)
-    ]
 
 
 def _oracle_workload(sets: int = 8, tasks_per_set: int = 40):
@@ -288,76 +223,6 @@ def test_bench_kernels():
             "speedup": mu_search_speedup,
         }
 
-        # -- batched admission probes (admit_many matrix vs scalar scan) ---
-        # Correctness leg: an all-accept batch on fresh controllers, where
-        # every accept dirties a column and the lazy re-validation path does
-        # real work; decisions and final shard ledgers must match bit for
-        # bit.
-        admit_tasks = _admit_workload()
-
-        def run_admit():
-            controller = AdmissionController(8)
-            return controller.admit_many(admit_tasks), controller
-
-        with use_kernels(True):
-            saved_min_points = controller_module.PROBE_MATRIX_MIN_POINTS
-            controller_module.PROBE_MATRIX_MIN_POINTS = 0
-            try:
-                batched_decisions, batched_controller = run_admit()
-            finally:
-                controller_module.PROBE_MATRIX_MIN_POINTS = saved_min_points
-            saved_min_shards = controller_module.PROBE_MATRIX_MIN_SHARDS
-            controller_module.PROBE_MATRIX_MIN_SHARDS = 10**9
-            try:
-                scalar_decisions, scalar_controller = run_admit()
-            finally:
-                controller_module.PROBE_MATRIX_MIN_SHARDS = saved_min_shards
-        assert [
-            (d.accepted, d.processors) for d in batched_decisions
-        ] == [(d.accepted, d.processors) for d in scalar_decisions]
-        assert [
-            s.state_vector() for s in batched_controller._shards
-        ] == [s.state_vector() for s in scalar_controller._shards]
-
-        # Timing leg: the case batching targets -- a warm controller whose
-        # shards are all crowded, and a batch of candidates that survive the
-        # O(log n) at-deadline/utilization screens and die in the O(points)
-        # all-points scan.  The scalar path pays that scan per (task, shard)
-        # pair; the matrix answers the whole batch in one broadcast.
-        # Rejections never mutate the controller, so every repeat starts
-        # from the identical warm state.
-        warm_controller = _warm_low_controller()
-        reject_batch = _reject_candidates()
-
-        def run_probe_batch():
-            return warm_controller.admit_many(reject_batch)
-
-        with use_kernels(True):
-            batched_reject = run_probe_batch()
-            batched_s = _best_of(_REPEATS, run_probe_batch)
-            saved_min_shards = controller_module.PROBE_MATRIX_MIN_SHARDS
-            controller_module.PROBE_MATRIX_MIN_SHARDS = 10**9
-            try:
-                scalar_reject = run_probe_batch()
-                scalar_s = _best_of(_REPEATS, run_probe_batch)
-            finally:
-                controller_module.PROBE_MATRIX_MIN_SHARDS = saved_min_shards
-        assert all(not d.accepted for d in batched_reject)
-        assert [
-            (d.accepted, d.processors) for d in batched_reject
-        ] == [(d.accepted, d.processors) for d in scalar_reject]
-        batched_speedup = scalar_s / batched_s
-        document["batched_probes"] = {
-            "equivalence_tasks": len(admit_tasks),
-            "timed_tasks": len(reject_batch),
-            "processors": 8,
-            "shard_points": len(warm_controller._shards[0]),
-            "admitted": 0,
-            "old_seconds": scalar_s,
-            "new_seconds": batched_s,
-            "speedup": batched_speedup,
-        }
-
         # -- exact-EDF oracle: QPA vs breakpoint scan ----------------------
         oracle_sets = _oracle_workload()
         breakpoints = sum(
@@ -386,11 +251,9 @@ def test_bench_kernels():
         }
 
         document["equivalence"] = {
-            "minprocs": True, "mu_search": True,
-            "batched_probes": True, "exact_oracle": True,
+            "minprocs": True, "mu_search": True, "exact_oracle": True,
         }
         document["floors"]["mu_search"] = _MU_SEARCH_FLOOR
-        document["floors"]["batched_probes"] = _BATCHED_FLOOR
         ARTIFACT.write_text(json.dumps(document, indent=2) + "\n")
 
         assert minprocs_speedup >= _MINPROCS_FLOOR, (
@@ -400,10 +263,6 @@ def test_bench_kernels():
         assert mu_search_speedup >= _MU_SEARCH_FLOOR, (
             f"bracketed mu-search speedup {mu_search_speedup:.2f}x below "
             f"the {_MU_SEARCH_FLOOR}x floor"
-        )
-        assert batched_speedup >= _BATCHED_FLOOR, (
-            f"batched-probe speedup {batched_speedup:.2f}x below the "
-            f"{_BATCHED_FLOOR}x floor"
         )
         assert oracle_speedup >= _EXACT_FLOOR, (
             f"exact-oracle QPA speedup {oracle_speedup:.2f}x below the "

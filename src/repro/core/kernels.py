@@ -76,30 +76,22 @@ __all__ = [
     "disable_kernels",
     "use_kernels",
     "kernel_backend",
-    "set_kernel_backend",
-    "use_kernel_backend",
 ]
 
 
 class KernelFlags:
     """The process-wide kernel switch (one attribute read on the hot path).
 
-    ``enabled`` keeps the historical on/off semantics of ``REPRO_KERNELS``
-    (``0``/``off``/``false``/``no`` fall back to the pure-Python reference
-    paths).  ``backend`` selects *which* compiled tier answers while kernels
-    are on: ``"numpy"`` (the default flat-array tier) or ``"jit"``
-    (``REPRO_KERNELS=jit``), which routes :func:`ls_run` and
-    :func:`dbf_star_totals` through the optional :mod:`repro.core.jit`
-    numba backend and degrades silently to the NumPy tier when numba is not
-    installed.
+    ``enabled`` follows ``REPRO_KERNELS``: ``0``/``off``/``false``/``no``
+    fall back to the pure-Python reference paths, any other value keeps the
+    kernels on.
     """
 
-    __slots__ = ("enabled", "backend")
+    __slots__ = ("enabled",)
 
     def __init__(self) -> None:
         raw = os.environ.get("REPRO_KERNELS", "1").lower()
         self.enabled = raw not in ("0", "off", "false", "no")
-        self.backend = "jit" if raw == "jit" else "numpy"
 
 
 #: Global switch consulted by every routed hot path.
@@ -133,33 +125,9 @@ def use_kernels(enabled: bool = True) -> Iterator[None]:
 
 
 def kernel_backend() -> str:
-    """The active compiled tier: ``"numpy"`` or ``"jit"``.
-
-    ``"jit"`` means the numba tier is *requested*; whether it actually
-    answers depends on :func:`repro.core.jit.available` (absent numba
-    degrades silently to the NumPy tier with identical results).
-    """
-    return flags.backend
-
-
-def set_kernel_backend(backend: str) -> None:
-    """Select the compiled tier (``"numpy"`` or ``"jit"``) process-wide."""
-    if backend not in ("numpy", "jit"):
-        raise AnalysisError(
-            f"unknown kernel backend {backend!r}; available: ['jit', 'numpy']"
-        )
-    flags.backend = backend
-
-
-@contextmanager
-def use_kernel_backend(backend: str) -> Iterator[None]:
-    """Scoped backend selection; restores the previous tier afterwards."""
-    previous = flags.backend
-    set_kernel_backend(backend)
-    try:
-        yield
-    finally:
-        flags.backend = previous
+    """The tier answering the hot paths: ``"numpy"`` with the kernels on,
+    ``"python"`` (the reference paths) with them off."""
+    return "numpy" if flags.enabled else "python"
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +154,6 @@ class CompiledDAG:
         "indegree",
         "_upward",
         "_priority",
-        "_jit_arrays",
     )
 
     def __init__(self, dag: DAG) -> None:
@@ -218,9 +185,6 @@ class CompiledDAG:
         self.indegree = [pred_indptr[i + 1] - pred_indptr[i] for i in range(len(verts))]
         self._upward: list[float] | None = None
         self._priority: dict[str, list[int]] = {}
-        #: numpy mirrors built lazily by the jit tier (wcet, indptr, succ,
-        #: indegree); ``None`` until the first jit-backed :func:`ls_run`.
-        self._jit_arrays: tuple | None = None
 
     def __len__(self) -> int:
         return len(self.wcet)
@@ -318,19 +282,7 @@ def ls_run(
     comparison resolves on the first tuple element and the pop order is
     identical to the dict-keyed reference loop; start/end times are the same
     ``now + wcet`` float expressions.
-
-    With ``REPRO_KERNELS=jit`` (and numba importable) the loop runs in the
-    compiled :mod:`repro.core.jit` tier instead -- pop order and float
-    expressions are identical (unique heap keys fully determine the pop
-    sequence of any correct binary heap), so the returned slots are
-    bit-identical across all three tiers.
     """
-    if flags.backend == "jit":
-        from repro.core import jit as _jit
-
-        result = _jit.ls_run(compiled, processors, prio)
-        if result is not None:
-            return result
     n = len(compiled.wcet)
     wcet = compiled.wcet
     indptr = compiled.succ_indptr
@@ -413,17 +365,7 @@ def dbf_star_totals(
     accumulated **sequentially in input order** (``total += row``) rather
     than with ``np.sum`` (whose pairwise summation rounds differently), and
     each row is the same ``C + u * (t - D)`` expression ``dbf_approx`` uses.
-
-    Under ``REPRO_KERNELS=jit`` the same sequential accumulation runs in the
-    numba tier (:mod:`repro.core.jit`) -- identical per-element IEEE ops in
-    the identical order, hence identical totals.
     """
-    if flags.backend == "jit":
-        from repro.core import jit as _jit
-
-        totals = _jit.dbf_star_totals(tasks, points)
-        if totals is not None:
-            return totals
     pts = np.asarray(points, dtype=float)
     total = np.zeros(pts.shape)
     for task in tasks:

@@ -22,16 +22,14 @@ bracketed search re-checks the makespans it actually observed: any
 non-monotone pair triggers a transparent fallback to the full linear scan
 (probe results are reused), guaranteeing the returned
 :attr:`MinProcsResult.processors` matches Figure 3 whenever an anomaly
-manifests among the probed points.  ``REPRO_MU_SEARCH=linear`` forces the
-literal Figure 3 scan; either way the reported ``attempts`` stays the
-canonical ``mu* - start + 1`` so results are bit-identical across
+manifests among the probed points.  Either way the reported ``attempts``
+stays the canonical ``mu* - start + 1`` so results are bit-identical across
 strategies, while ``ls_runs`` records what the strategy really paid.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -53,10 +51,10 @@ __all__ = ["MinProcsResult", "minprocs", "minprocs_unbounded"]
 
 _log = get_logger(__name__)
 
-#: Search strategy: "bisect" (gallop + binary search, the default) or
-#: "linear" (the literal Figure 3 scan).  Module attribute so tests and
-#: benchmarks can monkeypatch it without touching the environment.
-MU_SEARCH = os.environ.get("REPRO_MU_SEARCH", "bisect").strip().lower() or "bisect"
+#: Search strategy: "bisect" (gallop + binary search).  Tests and the kernel
+#: bench set the module attribute to "linear" (the literal Figure 3 scan) to
+#: get their reference.
+MU_SEARCH = "bisect"
 
 #: Below this many candidate processor counts the bracketed search cannot
 #: beat the linear scan (the gallop alone probes ~log2(range) points), so

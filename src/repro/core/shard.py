@@ -41,14 +41,12 @@ against shards freshly built by a from-scratch batch re-analysis.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from collections.abc import Iterable, Sequence
-
-import numpy as np
+from collections.abc import Iterable
 
 from repro.errors import AnalysisError
 from repro.model.sporadic import SporadicTask
 
-__all__ = ["ShardState", "ShardProbeMatrix"]
+__all__ = ["ShardState"]
 
 _TOL = 1e-9
 
@@ -70,7 +68,6 @@ class ShardState:
         "_cum_wcet",
         "_cum_util",
         "_cum_util_deadline",
-        "_arrays",
     )
 
     def __init__(
@@ -101,26 +98,6 @@ class ShardState:
         self._cum_wcet = cum_wcet
         self._cum_util = cum_util
         self._cum_util_deadline = cum_util_deadline
-        # Lazily-built numpy mirrors of the prefix arrays (ShardProbeMatrix).
-        self._arrays: tuple[np.ndarray, ...] | None = None
-
-    def _numpy_arrays(self) -> tuple[np.ndarray, ...]:
-        """Numpy mirrors of ``(deadlines, cum_wcet, cum_util, cum_util_deadline)``.
-
-        Built on the first :class:`ShardProbeMatrix` fill after a mutation;
-        the floats are the same Python floats :meth:`fits_all_points` reads,
-        so the matrix computes bit-identical demands.
-        """
-        arrays = self._arrays
-        if arrays is None:
-            arrays = (
-                np.asarray(self._deadlines),
-                np.asarray(self._cum_wcet),
-                np.asarray(self._cum_util),
-                np.asarray(self._cum_util_deadline),
-            )
-            self._arrays = arrays
-        return arrays
 
     def add(self, task: SporadicTask, rank: int) -> None:
         """Insert *task* with the canonical tie-break *rank*."""
@@ -241,138 +218,3 @@ class ShardState:
                 return False
         return True
 
-
-class ShardProbeMatrix:
-    """Batched ``fits_all_points`` probes over *many* shards at once.
-
-    The scalar path answers "does this task fit shard ``k``?" one shard at a
-    time -- a bisect plus an O(affected points) scan per shard.  This class
-    packs every shard's ledger into one padded ``(shards, points)`` matrix so
-    a candidate (or a whole batch of candidates) is probed against *all*
-    shards in a single NumPy broadcast.
-
-    Bit-identity: each cell evaluates exactly the float expressions of
-    :meth:`ShardState.fits_at_deadline` and the per-point scan of
-    :meth:`ShardState.fits_all_points` -- same operand order, same
-    ``_TOL`` comparisons -- so ``probe(task)[k] ==
-    shards[k].fits_all_points(task)`` for every shard, and first-fit
-    placement (take the lowest ``True`` index) is unchanged.
-
-    The per-point *base* demand (the shard's own aggregate ``DBF*`` at each
-    of its test points) is candidate-independent, so it is precomputed once
-    per build/refresh; a probe only adds the candidate term
-    ``C + u * (t - D)`` and compares.  Rows carry headroom so the admission
-    hot path can :meth:`refresh_column` in place after an accept instead of
-    rebuilding the whole matrix; the owner rebuilds when a refresh reports
-    the row outgrew its padding or the shard list itself changed shape.
-    """
-
-    __slots__ = (
-        "_capacity",
-        "_points",
-        "_valid",
-        "_base",
-        "_cum_wcet",
-        "_cum_util",
-        "_cum_util_deadline",
-        "_util_total",
-        "_cols",
-    )
-
-    def __init__(self, shards: Sequence[ShardState]) -> None:
-        longest = max((len(s) for s in shards), default=0)
-        # Headroom: admissions grow one row at a time, so a few spare slots
-        # per row amortize full rebuilds across a batch of accepts.
-        self._capacity = longest + max(8, longest // 4)
-        rows, cols = len(shards), self._capacity
-        self._points = np.zeros((rows, cols))
-        self._valid = np.zeros((rows, cols), dtype=bool)
-        self._base = np.zeros((rows, cols))
-        self._cum_wcet = np.zeros((rows, cols))
-        self._cum_util = np.zeros((rows, cols))
-        self._cum_util_deadline = np.zeros((rows, cols))
-        self._util_total = np.zeros(rows)
-        self._cols = np.arange(rows)
-        for r, shard in enumerate(shards):
-            self._fill_row(r, shard)
-
-    @property
-    def shard_count(self) -> int:
-        return self._points.shape[0]
-
-    def _fill_row(self, r: int, shard: ShardState) -> None:
-        n = len(shard._deadlines)
-        self._valid[r, :] = False
-        self._points[r, :] = 0.0
-        self._base[r, :] = 0.0
-        self._cum_wcet[r, :] = 0.0
-        self._cum_util[r, :] = 0.0
-        self._cum_util_deadline[r, :] = 0.0
-        self._util_total[r] = shard.utilization
-        if n == 0:
-            return
-        deadlines, cum_wcet, cum_util, cum_util_deadline = shard._numpy_arrays()
-        self._valid[r, :n] = True
-        self._points[r, :n] = deadlines
-        self._cum_wcet[r, :n] = cum_wcet
-        self._cum_util[r, :n] = cum_util
-        self._cum_util_deadline[r, :n] = cum_util_deadline
-        # Demand at a point reads the prefix sums at the *last* entry of the
-        # point's duplicate group (bisect_right semantics).
-        last = np.searchsorted(deadlines, deadlines, side="right") - 1
-        self._base[r, :n] = (
-            cum_wcet[last] + cum_util[last] * deadlines - cum_util_deadline[last]
-        )
-
-    def refresh_column(self, k: int, shard: ShardState) -> bool:
-        """Re-mirror shard *k* after a mutation; ``False`` if it outgrew the
-        row padding (the caller must rebuild the matrix)."""
-        if len(shard) > self._capacity:
-            return False
-        self._fill_row(k, shard)
-        return True
-
-    def probe(self, task: SporadicTask) -> np.ndarray:
-        """Per-shard ``fits_all_points`` verdicts for one candidate."""
-        return self._probe_block((task,), slice(None))[0]
-
-    def probe_many(self, tasks: Sequence[SporadicTask]) -> np.ndarray:
-        """``(candidates, shards)`` verdict matrix in one broadcast."""
-        return self._probe_block(tasks, slice(None))
-
-    def probe_column(self, tasks: Sequence[SporadicTask], k: int) -> np.ndarray:
-        """Per-candidate verdicts against the single shard *k*."""
-        return self._probe_block(tasks, slice(k, k + 1))[:, 0]
-
-    def _probe_block(
-        self, tasks: Sequence[SporadicTask], sl: slice
-    ) -> np.ndarray:
-        points = self._points[sl]
-        valid = self._valid[sl]
-        deadline = np.array([t.deadline for t in tasks])[:, None]
-        wcet = np.array([t.wcet for t in tasks])[:, None]
-        util = np.array([t.utilization for t in tasks])[:, None]
-        deadline3 = deadline[:, :, None]
-        # fits_at_deadline, batched: per-shard demand at t = D via the
-        # bisect_right prefix index (count of entries with deadline <= D).
-        at_or_before = valid & (points <= deadline3)
-        count = at_or_before.sum(axis=2)
-        gather = np.maximum(count - 1, 0)
-        rows = self._cols[sl][None, :]
-        demand_at = (
-            self._cum_wcet[rows, gather]
-            + self._cum_util[rows, gather] * deadline
-            - self._cum_util_deadline[rows, gather]
-        )
-        demand_at = np.where(count > 0, demand_at, 0.0)
-        fits = deadline - demand_at >= wcet - _TOL
-        fits &= 1.0 - self._util_total[sl][None, :] >= util - _TOL
-        # fits_all_points, batched: candidate demand added at every existing
-        # test point at or after its deadline (same grouping as the scalar
-        # scan: base + (C + u * (t - D))).
-        with_task = self._base[sl] + (
-            wcet[:, :, None] + util[:, :, None] * (points - deadline3)
-        )
-        violation = (with_task > points + _TOL) & valid & (points >= deadline3)
-        fits &= ~violation.any(axis=2)
-        return fits

@@ -62,18 +62,15 @@ import hashlib
 import json
 import time
 from bisect import insort
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.errors import OnlineError, PersistenceError
 from repro.core.fedcons import FailureReason, FedConsResult, fedcons
-from repro.core.kernels import flags as _kernel_flags
 from repro.core.minprocs import minprocs
 from repro.core.partition import AdmissionTest, PartitionResult, TaskOrder
 from repro.core.schedule import Schedule, Slot
-from repro.core.shard import ShardProbeMatrix, ShardState
+from repro.core.shard import ShardState
 from repro.model.serialization import task_from_dict, task_to_dict
 from repro.model.sporadic import SporadicTask
 from repro.model.task import SporadicDAGTask
@@ -108,18 +105,6 @@ SNAPSHOT_SCHEMA = 2
 #: Rejection reason for a task that is not constrained-deadline (batch
 #: ``fedcons`` raises ``ModelError`` instead; an online server must not).
 NOT_CONSTRAINED = "not_constrained"
-
-#: Batched shard probes only pay off past a few shards / a few candidates,
-#: and only when the shards are crowded enough that the scalar probe's
-#: O(points) scan actually costs something: against near-empty ledgers the
-#: scalar path is a bisect plus a couple of comparisons and the broadcast
-#: is pure overhead.  ``PROBE_MATRIX_MIN_POINTS`` is the *average* stored
-#: test points per shard required to open a batched session.  Module
-#: attributes so tests can force either path on tiny platforms.
-PROBE_MATRIX_MIN_SHARDS = 4
-PROBE_MATRIX_MIN_BATCH = 4
-PROBE_MATRIX_MIN_POINTS = 24
-
 
 @dataclass(frozen=True)
 class AdmissionDecision:
@@ -253,64 +238,6 @@ def template_digest(schedule: Schedule) -> str:
     return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
 
 
-class _ProbeBatchSession:
-    """One ``admit_many`` batch's verdict cache over the shard probe matrix.
-
-    Built when a batch of low-density candidates is coalesced: every
-    candidate is probed against every shard in one ``probe_many`` broadcast
-    up front.  Keeping those verdicts current across the batch leans on
-    demand monotonicity: an accept only *adds* demand and utilization to its
-    shard, so a ``False`` verdict can never flip back to ``True`` within the
-    batch and stays trusted as-is.  Only ``True`` verdicts against a shard
-    that accepted something since the broadcast (a *stale* column) may have
-    flipped; those are re-validated lazily -- one candidate against one
-    shard, with the very scalar ``fits_all_points`` probe the sequential
-    path would run -- exactly when a first-fit scan reaches them.  Each
-    decision therefore sees verdicts bit-identical to the scalar path at
-    the moment it is taken, and an accept costs O(1) bookkeeping instead of
-    an O(batch) column recompute.
-    """
-
-    __slots__ = ("_controller", "_sporadics", "_rows", "_verdicts", "_stale")
-
-    def __init__(
-        self,
-        controller: "AdmissionController",
-        names: Sequence[str],
-        sporadics: Sequence[SporadicTask],
-    ) -> None:
-        self._controller = controller
-        self._sporadics = list(sporadics)
-        self._rows = {name: i for i, name in enumerate(names)}
-        matrix = controller._ensure_probe_matrix()
-        self._verdicts = matrix.probe_many(self._sporadics)
-        self._stale = [False] * len(controller._shards)
-
-    def first_fit(self, name: str) -> int | None:
-        """Lowest fitting shard index for candidate *name*; ``None`` if the
-        candidate fits nowhere; ``-1`` when *name* is not in this batch."""
-        row_index = self._rows.get(name)
-        if row_index is None:
-            return -1
-        row = self._verdicts[row_index]
-        sporadic = self._sporadics[row_index]
-        shards = self._controller._shards
-        for k in np.flatnonzero(row):
-            k = int(k)
-            if not self._stale[k]:
-                return k
-            fits = shards[k].fits_all_points(sporadic)
-            row[k] = fits
-            if fits:
-                return k
-        return None
-
-    def committed(self, bucket: int) -> None:
-        """Record that an accept mutated shard *bucket*: its ``True``
-        verdicts are no longer trusted and re-validate lazily from now on."""
-        self._stale[bucket] = True
-
-
 class AdmissionController:
     """Live FEDCONS state on ``m`` processors with incremental admit/depart.
 
@@ -350,10 +277,6 @@ class AdmissionController:
         self._shards: list[ShardState] = [ShardState() for _ in range(processors)]
         self._seq = 0
         self._canonical = True
-        #: lazily-built padded mirror of the shard ledgers for batched probes
-        self._probe_matrix: ShardProbeMatrix | None = None
-        #: active admit_many batch session (column-invalidated verdicts)
-        self._batch: _ProbeBatchSession | None = None
 
     # ------------------------------------------------------------------
     # inspection
@@ -531,8 +454,9 @@ class AdmissionController:
         ------
         PersistenceError
             On an unsupported ``schema_version`` or a structurally
-            inconsistent snapshot (overlapping processor grants, digest
-            mismatches, out-of-range bucket indices...).
+            inconsistent snapshot (missing or non-integer fields,
+            overlapping processor grants, digest mismatches, out-of-range
+            bucket indices...).
         """
         version = snapshot.get("schema_version")
         if version != SNAPSHOT_SCHEMA:
@@ -568,6 +492,11 @@ class AdmissionController:
                 kind = record["kind"]
                 task = task_from_dict(record["task"])
                 task_seq = int(record["seq"])
+                if kind == HIGH_DENSITY:
+                    processors = tuple(int(p) for p in record["cluster"])
+                    template = record["template"]
+                elif kind == LOW_DENSITY:
+                    bucket = int(record["bucket"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise PersistenceError(
                     f"malformed snapshot task record: {exc}"
@@ -578,8 +507,7 @@ class AdmissionController:
                     "serialized task model"
                 )
             if kind == HIGH_DENSITY:
-                processors = tuple(int(p) for p in record["cluster"])
-                schedule = _template_from_dict(record["template"], task)
+                schedule = _template_from_dict(template, task)
                 if schedule.processors != len(processors):
                     raise PersistenceError(
                         f"template of {name!r} is sized for "
@@ -597,7 +525,6 @@ class AdmissionController:
                     schedule=schedule, seq=task_seq,
                 )
             elif kind == LOW_DENSITY:
-                bucket = int(record["bucket"])
                 if not 0 <= bucket < len(pool):
                     raise PersistenceError(
                         f"task {name!r} sits in bucket {bucket} but the "
@@ -731,83 +658,6 @@ class AdmissionController:
                 return self._admit_high(task, started)
             return self._admit_low(task, started)
 
-    def admit_many(
-        self, tasks: Iterable[SporadicDAGTask]
-    ) -> list[AdmissionDecision]:
-        """Process a coalesced batch of arrivals in one incremental pass.
-
-        Order-deterministic and *equivalent to sequential admits*: the batch
-        is processed in iteration order through the exact same incremental
-        machinery as :meth:`admit`, so the decisions, the shard ledgers
-        (bit for bit -- ShardState floats are history-independent), and the
-        sequence counter all equal what ``[self.admit(t) for t in tasks]``
-        would have produced.  The point of the batch API is *not* a
-        different algorithm; it is the commit granularity: a
-        :class:`~repro.online.persist.DurableController` fsyncs a batch
-        once, and the admission service coalesces concurrent arrivals into
-        one such group.  The equivalence is pinned by a hypothesis property
-        over random traces mixed with adversarial gadget instances.
-
-        Caller errors (unnamed task, duplicate id -- including a duplicate
-        *within* the batch) raise :class:`OnlineError` exactly where the
-        sequential loop would; decisions already made in this batch remain
-        applied, mirroring the sequential semantics.
-        """
-        tasks = list(tasks)
-        with _span("online.admit_many", size=len(tasks)):
-            self._batch = self._open_batch_session(tasks)
-            try:
-                decisions = [self.admit(task) for task in tasks]
-            finally:
-                self._batch = None
-        if _metrics.enabled:
-            _metrics.incr("online.admit_batches")
-            _metrics.observe("online.admit_batch_size", len(tasks))
-        return decisions
-
-    def _open_batch_session(
-        self, tasks: list[SporadicDAGTask]
-    ) -> _ProbeBatchSession | None:
-        """Batched-probe session for an all-low-density batch, else ``None``.
-
-        The batched path is a pure evaluation strategy -- verdicts are
-        bit-identical to the scalar scan -- so gating is purely about cost:
-        kernels on, enough shards, candidates, and stored test points to
-        beat the scalar loop, and no high-density task in the batch (a
-        carve would reshape the shard list mid-batch; such mixed batches
-        take the scalar path).
-        """
-        if (
-            not _kernel_flags.enabled
-            or len(self._shards) < PROBE_MATRIX_MIN_SHARDS
-            or len(tasks) < PROBE_MATRIX_MIN_BATCH
-            or sum(len(shard) for shard in self._shards)
-            < PROBE_MATRIX_MIN_POINTS * len(self._shards)
-        ):
-            return None
-        names: list[str] = []
-        sporadics: list[SporadicTask] = []
-        for task in tasks:
-            if (
-                not isinstance(task, SporadicDAGTask)
-                or not task.name
-                or task.is_high_density
-            ):
-                return None
-            names.append(task.name)
-            sporadics.append(task.to_sporadic())
-        return _ProbeBatchSession(self, names, sporadics)
-
-    def _ensure_probe_matrix(self) -> ShardProbeMatrix:
-        """The padded probe matrix, rebuilt if invalidated or reshaped."""
-        matrix = self._probe_matrix
-        if matrix is None or matrix.shard_count != len(self._shards):
-            matrix = ShardProbeMatrix(self._shards)
-            self._probe_matrix = matrix
-            if _metrics.enabled:
-                _metrics.incr("online.probe_matrix_builds")
-        return matrix
-
     def _admit_high(
         self, task: SporadicDAGTask, started: float
     ) -> AdmissionDecision:
@@ -835,7 +685,6 @@ class AdmissionController:
         del self._shared[new_pool:]
         del self._buckets[new_pool:]
         del self._shards[new_pool:]
-        self._probe_matrix = None
         self._clusters[task.name] = _Cluster(
             task=task,
             processors=granted,
@@ -852,14 +701,8 @@ class AdmissionController:
         self, task: SporadicDAGTask, started: float
     ) -> AdmissionDecision:
         """First-fit scan of the shared shards with the order-independent
-        ``DBF*`` probe.
-
-        Each ``fits_all_points`` probe is one pass over the shard's
-        prefix-sum ledger; inside a crowded :meth:`admit_many` batch the
-        probes come from one :class:`ShardProbeMatrix` broadcast instead --
-        same verdicts, so replayed decision traces are byte-identical either
-        way.
-        """
+        ``DBF*`` probe, each ``fits_all_points`` one pass over the shard's
+        prefix-sum ledger."""
         sporadic = task.to_sporadic()
         placed: int | None = None
         # The scan is timed as a whole (one clock pair per admission, not
@@ -870,26 +713,11 @@ class AdmissionController:
         # telemetry overhead budget.
         timing = _metrics.enabled
         scan_started = time.perf_counter() if timing else 0.0
-        session = self._batch
-        hit: int | None = -1
-        if session is not None:
-            hit = session.first_fit(task.name)
-        if session is not None and hit != -1:
-            # Batched path: the session's verdict row is bit-identical to
-            # the scalar probes below, so taking its lowest True preserves
-            # first-fit placement exactly.
-            placed = hit
-            if placed is not None:
-                self._place_low(task, sporadic, placed)
-                session.committed(placed)
-        else:
-            for k, shard in enumerate(self._shards):
-                if shard.fits_all_points(sporadic):
-                    self._place_low(task, sporadic, k)
-                    placed = k
-                    break
-        # Canonical probe accounting: what a scalar first-fit scan performs,
-        # regardless of evaluation strategy.
+        for k, shard in enumerate(self._shards):
+            if shard.fits_all_points(sporadic):
+                self._place_low(task, sporadic, k)
+                placed = k
+                break
         probes = len(self._shards) if placed is None else placed + 1
         if timing:
             _metrics.incr("online.placement_probes", probes)
@@ -918,14 +746,9 @@ class AdmissionController:
             task=task, sporadic=sporadic, seq=self._seq, bucket=bucket
         )
         self._buckets[bucket].append(entry)
-        shard = self._shards[bucket]
-        shard.add(sporadic, entry.seq)
+        self._shards[bucket].add(sporadic, entry.seq)
         self._low[task.name] = entry
         self._tasks[task.name] = task
-        matrix = self._probe_matrix
-        if matrix is not None and not matrix.refresh_column(bucket, shard):
-            # The shard outgrew its row padding: rebuild on next batched use.
-            self._probe_matrix = None
 
     def _accept(
         self,
@@ -1037,7 +860,6 @@ class AdmissionController:
             self._shared.append(proc)
             self._buckets.append([])
             self._shards.append(ShardState())
-        self._probe_matrix = None
         ctx = current_context()
         if ctx is not None:
             ctx.record(
@@ -1077,7 +899,6 @@ class AdmissionController:
         del self._tasks[task_id]
         self._buckets[entry.bucket].remove(entry)
         self._shards[entry.bucket].remove(entry.sporadic.name)
-        self._probe_matrix = None
         migrations = 0
         clean = True
         if self._repack:
@@ -1235,7 +1056,6 @@ class AdmissionController:
             entry.bucket = k
         self._buckets = new_buckets
         self._shards = new_shards
-        self._probe_matrix = None
         return len(moved), True
 
     def compact(self) -> tuple[int, bool]:

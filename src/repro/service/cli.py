@@ -156,24 +156,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 async def _serve_async(args: argparse.Namespace) -> int:
-    from repro.core.kernels import kernel_backend
     from repro.online.controller import AdmissionController
     from repro.online.persist import DurableController, Journal, recover
     from repro.service.server import AdmissionServer
 
-    if kernel_backend() == "jit":
-        # Pay the numba compile cost before the first request, not during
-        # it; a no-op (with a note) when numba is not installed.
-        from repro.core import jit as _jit
-
-        if _jit.warm():
-            print("jit kernels compiled and warm", file=sys.stderr)
-        else:
-            print(
-                "REPRO_KERNELS=jit but numba is unavailable; "
-                "serving on the numpy kernels",
-                file=sys.stderr,
-            )
     if args.journal.exists() and args.journal.stat().st_size > 0:
         controller, report = recover(args.checkpoint, args.journal)
         print(report.describe(), file=sys.stderr)

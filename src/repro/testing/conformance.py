@@ -11,10 +11,7 @@ system through *all* of them and asserts every relation at once:
     With the kernels on and off, :func:`repro.core.fedcons.fedcons` must
     return **bit-identical** deployments (same clusters, same makespans,
     same partition), and the per-bucket EDF tests must return identical
-    verdicts.  The kernels are promised to be value-transparent.  When
-    numba is installed, a third leg runs the same comparison against the
-    ``jit`` backend (``REPRO_KERNELS=jit``); without numba that leg is
-    vacuous and is skipped.
+    verdicts.  The kernels are promised to be value-transparent.
 ``approx_implies_exact``
     ``DBF*`` dominates ``dbf``, so the approximate test is sufficient:
     on any shared bucket an approx *accept* must imply an exact (QPA)
@@ -56,10 +53,9 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core import jit as _jit
 from repro.core.dbf import edf_approx_test, edf_exact_test
 from repro.core.fedcons import FedConsResult, fedcons
-from repro.core.kernels import use_kernel_backend, use_kernels
+from repro.core.kernels import use_kernels
 from repro.generation.adversarial import HARDNESS_GRADES, chen_gadget
 from repro.generation.tasksets import SystemConfig, generate_system
 from repro.model.serialization import system_from_dict
@@ -234,37 +230,6 @@ def _check_kernel_identity(
                 f"on={verdicts_on!r} off={verdicts_off!r}",
             )
         )
-    if _jit.available():
-        # Third leg: the numba tier must match the NumPy tier bit for bit.
-        # Skipped (not failed) without numba -- the jit backend then
-        # degrades to the NumPy tier and the comparison would be vacuous.
-        with use_kernels(True), use_kernel_backend("jit"):
-            result_jit = fedcons(instance.system, instance.processors)
-            verdicts_jit = [
-                (edf_approx_test(bucket), edf_exact_test(bucket))
-                for bucket in _nonempty_buckets(result_jit)
-            ]
-        checks += 1 + len(verdicts_jit)
-        if fingerprint(result_jit) != fingerprint(result_on):
-            violations.append(
-                Violation(
-                    "kernel_identity",
-                    instance.label,
-                    "fedcons deployments differ between the jit and numpy "
-                    f"backends: jit={fingerprint(result_jit)!r} "
-                    f"numpy={fingerprint(result_on)!r}",
-                )
-            )
-        if verdicts_jit != verdicts_on:
-            violations.append(
-                Violation(
-                    "kernel_identity",
-                    instance.label,
-                    "per-bucket EDF verdicts differ between the jit and "
-                    f"numpy backends: jit={verdicts_jit!r} "
-                    f"numpy={verdicts_on!r}",
-                )
-            )
     return result_on, checks
 
 

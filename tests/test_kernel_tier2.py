@@ -1,10 +1,10 @@
-"""Tier-2 kernel guarantees: bracketed mu-search, batched shard probes,
-the jit backend switch, and the multi-core plumbing.
+"""Tier-2 kernel guarantees: bracketed mu-search, the kernel switch, and
+the multi-core plumbing.
 
 Everything here enforces the same contract as :mod:`tests.test_kernels`:
-the new evaluation strategies are *pure speedups* -- identical processor
-counts, identical canonical ``attempts``, identical schedules, identical
-admission decisions and shard ledgers, down to the last float.
+the bracketed search is a *pure speedup* -- identical processor counts,
+identical canonical ``attempts``, identical schedules, down to the last
+float.
 """
 
 from __future__ import annotations
@@ -16,29 +16,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.online.controller as controller_mod
 import repro.parallel.engine as engine_mod
-from repro.core import jit, kernels
+from repro.core import kernels
 from repro.core.cache import caching
-from repro.core.kernels import (
-    KernelFlags,
-    kernel_backend,
-    set_kernel_backend,
-    use_kernel_backend,
-    use_kernels,
-)
-from repro.core.shard import ShardProbeMatrix, ShardState
+from repro.core.kernels import KernelFlags, kernel_backend, use_kernels
 from repro.errors import AnalysisError
 from repro.generation.adversarial import chen_gadget
 from repro.generation.pegasus import montage
 from repro.model.dag import DAG
-from repro.model.sporadic import SporadicTask
 from repro.model.task import SporadicDAGTask
 from repro.obs.metrics import collecting
-from repro.online.controller import AdmissionController
 from repro.parallel import available_cpus
 
-from strategies import dag_tasks, random_sporadics
+from strategies import dag_tasks
 
 minprocs_mod = __import__("repro.core.minprocs", fromlist=["minprocs"])
 minprocs = minprocs_mod.minprocs
@@ -84,7 +74,7 @@ def _run_both_strategies(task, budget, order="longest_path"):
 
 
 class TestMuSearchEquivalence:
-    """Bracketed mu-search == Figure 3 linear scan, on every backend."""
+    """Bracketed mu-search == Figure 3 linear scan, kernels on and off."""
 
     def test_staircase_identical_with_fewer_ls_runs(self):
         task = _staircase_task()
@@ -105,15 +95,6 @@ class TestMuSearchEquivalence:
         assert linear is not None
         assert _result_tuple(bisect) == _result_tuple(linear)
         assert bisect.ls_runs < linear.ls_runs
-
-    def test_staircase_identical_on_jit_backend(self):
-        task = _staircase_task(chain=6, fringe=24)
-        with use_kernels(True), use_kernel_backend("jit"):
-            linear, bisect = _run_both_strategies(task, 256)
-        with use_kernels(True):
-            numpy_linear = minprocs(task, 256)
-        assert _result_tuple(bisect) == _result_tuple(linear)
-        assert _result_tuple(bisect) == _result_tuple(numpy_linear)
 
     @settings(max_examples=30, deadline=None)
     @given(task=dag_tasks(), budget=st.integers(min_value=1, max_value=64))
@@ -215,260 +196,22 @@ class TestAnomalyFallback:
         assert result.schedule.slots == reference.schedule.slots
 
 
-class TestShardProbeMatrix:
-    """Matrix probes == scalar ``fits_all_points``, cell for cell."""
-
-    def _shards(self, seed: int, count: int = 6):
-        rng = np.random.default_rng(seed)
-        shards = []
-        for _ in range(count):
-            shard = ShardState()
-            for rank, sporadic in enumerate(
-                random_sporadics(rng, int(rng.integers(0, 40)))
-            ):
-                shard.add(sporadic, rank)
-            shards.append(shard)
-        return shards
-
-    def _candidates(self, seed: int, count: int = 40):
-        rng = np.random.default_rng(seed + 1000)
-        out = list(random_sporadics(rng, count))
-        # Edge candidates: deadline below every stored point, and far above.
-        out.append(SporadicTask(wcet=0.01, deadline=0.02, period=1e6))
-        out.append(SporadicTask(wcet=0.01, deadline=1e5, period=1e6))
-        return out
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_probe_matches_scalar(self, seed):
-        shards = self._shards(seed)
-        with use_kernels(True):
-            matrix = ShardProbeMatrix(shards)
-            for task in self._candidates(seed):
-                verdicts = matrix.probe(task)
-                expected = [s.fits_all_points(task) for s in shards]
-                assert verdicts.tolist() == expected
-
-    def test_probe_many_matches_rows(self):
-        shards = self._shards(5)
-        tasks = self._candidates(5)
-        with use_kernels(True):
-            matrix = ShardProbeMatrix(shards)
-            block = matrix.probe_many(tasks)
-            for i, task in enumerate(tasks):
-                assert block[i].tolist() == matrix.probe(task).tolist()
-
-    def test_probe_column_matches(self):
-        shards = self._shards(6)
-        tasks = self._candidates(6, count=12)
-        with use_kernels(True):
-            matrix = ShardProbeMatrix(shards)
-            for k in range(len(shards)):
-                column = matrix.probe_column(tasks, k)
-                expected = [shards[k].fits_all_points(t) for t in tasks]
-                assert column.tolist() == expected
-
-    def test_empty_shard_and_duplicate_deadlines(self):
-        crowded = ShardState()
-        for rank in range(6):
-            crowded.add(
-                SporadicTask(wcet=0.5, deadline=10.0, period=40.0), rank
-            )
-        empty = ShardState()
-        shards = [crowded, empty]
-        with use_kernels(True):
-            matrix = ShardProbeMatrix(shards)
-            for task in self._candidates(9, count=10):
-                assert matrix.probe(task).tolist() == [
-                    s.fits_all_points(task) for s in shards
-                ]
-
-    def test_refresh_column_tracks_mutation(self):
-        shards = self._shards(11)
-        with use_kernels(True):
-            matrix = ShardProbeMatrix(shards)
-            newcomer = SporadicTask(
-                wcet=0.2, deadline=5.0, period=50.0, name="newcomer"
-            )
-            shards[2].add(newcomer, 999)
-            assert matrix.refresh_column(2, shards[2])
-            for task in self._candidates(11, count=10):
-                assert matrix.probe(task).tolist() == [
-                    s.fits_all_points(task) for s in shards
-                ]
-
-    def test_refresh_column_reports_outgrown_row(self):
-        shard = ShardState()
-        shard.add(SporadicTask(wcet=0.1, deadline=5.0, period=50.0), 0)
-        with use_kernels(True):
-            matrix = ShardProbeMatrix([shard])
-            for rank in range(1, 64):
-                shard.add(
-                    SporadicTask(
-                        wcet=0.001, deadline=5.0 + rank, period=500.0
-                    ),
-                    rank,
-                )
-            assert not matrix.refresh_column(0, shard)
-
-
-def _low(name: str, wcet: float, deadline: float, period: float):
-    return SporadicDAGTask(DAG({0: wcet}, []), deadline, period, name=name)
-
-
-def _force_batched(monkeypatch):
-    monkeypatch.setattr(controller_mod, "PROBE_MATRIX_MIN_POINTS", 0)
-
-
-class TestBatchedAdmitMany:
-    """admit_many's batched probe session == sequential scalar admits."""
-
-    def _random_batches(self, seed: int):
-        rng = np.random.default_rng(seed)
-        batches = []
-        for b in range(4):
-            tasks = []
-            for i in range(int(rng.integers(4, 24))):
-                period = float(rng.uniform(20, 400))
-                deadline = float(rng.uniform(0.3, 0.95)) * period
-                wcet = float(rng.uniform(0.002, 0.4)) * deadline
-                tasks.append(_low(f"b{b}t{i}", wcet, deadline, period))
-            batches.append(tasks)
-        return batches
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
-    def test_traces_identical(self, seed, monkeypatch):
-        _force_batched(monkeypatch)
-
-        def run(batched: bool):
-            monkeypatch.setattr(
-                controller_mod,
-                "PROBE_MATRIX_MIN_SHARDS",
-                4 if batched else 10**9,
-            )
-            rng = np.random.default_rng(seed + 99)
-            controller = AdmissionController(8)
-            trace = []
-            live = []
-            with use_kernels(True):
-                for batch in self._random_batches(seed):
-                    decisions = controller.admit_many(batch)
-                    trace.append(
-                        [(d.accepted, d.processors) for d in decisions]
-                    )
-                    live.extend(
-                        t.name
-                        for t, d in zip(batch, decisions)
-                        if d.accepted
-                    )
-                    for _ in range(int(rng.integers(0, 4))):
-                        if not live:
-                            break
-                        victim = live.pop(int(rng.integers(len(live))))
-                        controller.depart(victim)
-            states = [s.state_vector() for s in controller._shards]
-            return trace, states
-
-        assert run(True) == run(False)
-
-    def test_staleness_revalidates_after_accept(self, monkeypatch):
-        _force_batched(monkeypatch)
-        # Four utilization-0.45 candidates: the upfront broadcast says every
-        # one fits shard 0, but each accept consumes the headroom -- the
-        # lazy revalidation must spread them across shards exactly like the
-        # sequential first-fit scan does.
-        batch = [_low(f"fat{i}", 0.9, 2.0, 2.0) for i in range(4)]
-        with use_kernels(True):
-            controller = AdmissionController(4)
-            assert controller._open_batch_session(batch) is not None
-            decisions = controller.admit_many(batch)
-            sequential = AdmissionController(4)
-            expected = [sequential.admit(t) for t in batch]
-        assert [(d.accepted, d.processors) for d in decisions] == [
-            (d.accepted, d.processors) for d in expected
-        ]
-        buckets = [d.processors for d in decisions if d.accepted]
-        assert len(buckets) == 4 and len(set(buckets)) == 2
-
-    def test_mixed_batch_takes_scalar_path(self, monkeypatch):
-        _force_batched(monkeypatch)
-        wide = SporadicDAGTask(
-            DAG({0: 4.0, 1: 4.0, 2: 4.0}, []), 4.0, 40.0, name="high"
-        )
-        batch = [_low(f"x{i}", 0.1, 10.0, 20.0) for i in range(4)]
-        with use_kernels(True):
-            controller = AdmissionController(8)
-            assert controller._open_batch_session(batch) is not None
-            assert controller._open_batch_session(batch + [wide]) is None
-            decisions = controller.admit_many(batch + [wide])
-        assert len(decisions) == 5
-        assert decisions[-1].kind == "high_density"
-
-    def test_sparse_shards_take_scalar_path(self):
-        # Fresh shards hold zero stored test points: under the crowding
-        # gate the broadcast cannot win, so no session opens.
-        batch = [_low(f"y{i}", 0.1, 10.0, 20.0) for i in range(8)]
-        with use_kernels(True):
-            controller = AdmissionController(8)
-            assert controller._open_batch_session(batch) is None
-
-    def test_kernels_off_takes_scalar_path(self, monkeypatch):
-        _force_batched(monkeypatch)
-        batch = [_low(f"z{i}", 0.1, 10.0, 20.0) for i in range(8)]
-        with use_kernels(False):
-            controller = AdmissionController(8)
-            assert controller._open_batch_session(batch) is None
-
-
 class TestKernelBackendFlags:
     def test_env_parsing(self, monkeypatch):
+        # kernel_backend() reads the module-level switch, so each case
+        # installs the freshly parsed flags there.
         monkeypatch.setenv("REPRO_KERNELS", "jit")
-        flags = KernelFlags()
-        assert flags.enabled and flags.backend == "jit"
+        monkeypatch.setattr(kernels, "flags", KernelFlags())
+        assert kernels.flags.enabled and kernel_backend() == "numpy"
         monkeypatch.setenv("REPRO_KERNELS", "0")
-        flags = KernelFlags()
-        assert not flags.enabled and flags.backend == "numpy"
+        monkeypatch.setattr(kernels, "flags", KernelFlags())
+        assert not kernels.flags.enabled and kernel_backend() == "python"
         monkeypatch.setenv("REPRO_KERNELS", "1")
-        flags = KernelFlags()
-        assert flags.enabled and flags.backend == "numpy"
+        monkeypatch.setattr(kernels, "flags", KernelFlags())
+        assert kernels.flags.enabled and kernel_backend() == "numpy"
         monkeypatch.delenv("REPRO_KERNELS")
-        flags = KernelFlags()
-        assert flags.enabled and flags.backend == "numpy"
-
-    def test_backend_switch_scoped(self):
-        before = kernel_backend()
-        with use_kernel_backend("jit"):
-            assert kernel_backend() == "jit"
-        assert kernel_backend() == before
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(AnalysisError):
-            set_kernel_backend("cuda")
-
-
-class TestJitDegradation:
-    """Without numba the jit tier must degrade silently and identically
-    (with numba it must still be bit-identical -- same assertions)."""
-
-    def test_warm_matches_availability(self):
-        assert jit.warm() == jit.available()
-
-    def test_ls_and_dbf_identical_across_backends(self):
-        task = _staircase_task(chain=5, fringe=16, name="jitcheck")
-        with use_kernels(True):
-            baseline = minprocs(task, 64)
-        with use_kernels(True), use_kernel_backend("jit"):
-            routed = minprocs(task, 64)
-        assert _result_tuple(routed) == _result_tuple(baseline)
-
-        rng = np.random.default_rng(3)
-        tasks = random_sporadics(rng, 8)
-        points = np.asarray([t.deadline for t in tasks], dtype=float)
-        with use_kernels(True):
-            base_totals = kernels.dbf_star_totals(tasks, points)
-        with use_kernels(True), use_kernel_backend("jit"):
-            jit_totals = kernels.dbf_star_totals(tasks, points)
-        assert jit_totals.tolist() == base_totals.tolist()
-
+        monkeypatch.setattr(kernels, "flags", KernelFlags())
+        assert kernels.flags.enabled and kernel_backend() == "numpy"
 
 class TestAvailableCpus:
     def test_positive(self):

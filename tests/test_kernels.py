@@ -43,7 +43,7 @@ from repro.core.list_scheduling import (
 )
 from repro.core.minprocs import minprocs
 from repro.core.partition import AdmissionTest, TaskOrder, partition_sporadic
-from repro.core.shard import ShardProbeMatrix, ShardState
+from repro.core.shard import ShardState
 from repro.errors import AnalysisError
 from repro.generation.tasksets import SystemConfig, generate_system
 from repro.model.dag import DAG
@@ -262,9 +262,9 @@ class TestShardVectorProbe:
     @settings(max_examples=50)
     @given(sporadic_sets(max_tasks=8), sporadic_tasks())
     def test_fits_all_points_identical(self, tasks, candidate):
-        # The single scan, the per-point definition (shard demand plus the
-        # candidate's DBF* at every stored deadline from its own on) and the
-        # ShardProbeMatrix broadcast give one verdict.
+        # The single scan and the per-point definition (shard demand plus
+        # the candidate's DBF* at every stored deadline from its own on)
+        # give one verdict.
         shard = ShardState((task, rank) for rank, task in enumerate(tasks))
         reference = shard.fits_at_deadline(candidate) and all(
             shard.demand(task.deadline) + candidate.dbf_approx(task.deadline)
@@ -273,11 +273,10 @@ class TestShardVectorProbe:
             if task.deadline >= candidate.deadline
         )
         assert shard.fits_all_points(candidate) == reference
-        assert ShardProbeMatrix([shard]).probe(candidate)[0] == reference
 
-    def test_mutation_invalidates_numpy_mirror(self):
+    def test_remove_frees_a_test_point(self):
         # Removing t2 frees the test point t=2, so the probe fits only
-        # afterwards; a row refreshed from a stale mirror would not say so.
+        # afterwards; prefix arrays left stale by remove() would not say so.
         tasks = [
             SporadicTask(wcet=0.5, deadline=float(d), period=40.0, name=f"t{d}")
             for d in range(2, 22)
@@ -286,14 +285,10 @@ class TestShardVectorProbe:
         for rank, task in enumerate(tasks):
             shard.add(task, rank)
         probe = SporadicTask(wcet=1.6, deadline=2.0, period=50.0)
-        matrix = ShardProbeMatrix([shard])  # builds the numpy mirror
         assert not shard.fits_all_points(probe)
-        assert not matrix.probe(probe)[0]
         removed = shard.remove("t2")
         assert removed.deadline == 2.0
-        assert matrix.refresh_column(0, shard)
         assert shard.fits_all_points(probe)
-        assert matrix.probe(probe)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,7 @@ from strategies import high_task, low_task
 DATA = Path(__file__).parent / "data"
 GOLDEN_TRACE = DATA / "online_trace.jsonl"
 M = 16  # platform size the golden trace was generated for
+_DROP = object()  # a corruption that deletes the key instead of setting it
 
 
 def _journal_from_golden(directory: Path) -> Path:
@@ -282,6 +283,50 @@ class TestSnapshotRestore:
         snapshot["pool"][0] = M + 7  # a processor that does not exist
         with pytest.raises(PersistenceError):
             AdmissionController.restore(snapshot)
+
+    @pytest.mark.parametrize(
+        ("kind", "key", "value"),
+        [
+            ("low_density", "bucket", _DROP),
+            ("low_density", "bucket", "first"),
+            ("high_density", "cluster", _DROP),
+            ("high_density", "template", _DROP),
+            ("high_density", "cluster", ["p0", "p1"]),
+        ],
+        ids=[
+            "no-bucket", "non-integer-bucket", "no-cluster", "no-template",
+            "non-integer-processor",
+        ],
+    )
+    def test_malformed_task_record_rejected(self, kind, key, value):
+        controller = AdmissionController(8)
+        assert controller.admit(low_task("low")).accepted
+        assert controller.admit(high_task("high", width=2)).accepted
+        snapshot = controller.snapshot()
+        record = next(r for r in snapshot["tasks"] if r["kind"] == kind)
+        if value is _DROP:
+            del record[key]
+        else:
+            record[key] = value
+        with pytest.raises(PersistenceError):
+            AdmissionController.restore(snapshot)
+
+    def test_verified_recovery_rejects_a_record_without_bucket(
+        self, tmp_path
+    ):
+        journal_path = tmp_path / "j.jsonl"
+        checkpoint = tmp_path / "c.json"
+        with Journal(journal_path, fsync="off") as journal:
+            durable = DurableController(
+                AdmissionController(8), journal, checkpoint_path=checkpoint
+            )
+            durable.admit(low_task("low"))
+            durable.checkpoint()
+        document = json.loads(checkpoint.read_text())
+        del document["state"]["tasks"][0]["bucket"]
+        checkpoint.write_text(json.dumps(document))
+        with pytest.raises(PersistenceError):
+            recover(checkpoint, journal_path, verify=True)
 
     @settings(
         max_examples=20,

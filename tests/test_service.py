@@ -2,11 +2,12 @@
 
 The load-bearing guarantees pinned here:
 
-* **batch = sequential** -- ``admit_many`` is bit-identical to a loop of
-  ``admit``: same decisions (wall-clock latency aside), same lossless
-  snapshot (shard ledgers included), same sequence counter -- driven by
-  hypothesis over random DAG-task batches, by random generated traces, and
-  by the adversarial gadget frontier;
+* **batch = sequential** -- ``DurableController.admit_many``, the call the
+  commit loop makes, is bit-identical to a loop of ``admit``: same
+  decisions (wall-clock latency aside), same lossless snapshot (shard
+  ledgers included), same sequence counter, same journal records -- driven
+  by hypothesis over random DAG-task batches, by random generated traces,
+  and by the adversarial gadget frontier;
 * **journal tail-follow** -- :class:`JournalFollower` delivers exactly the
   committed records in order, never consumes a torn tail, and rejects
   gaps/garbage with the typed error;
@@ -27,6 +28,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -132,10 +134,23 @@ class TestProtocol:
 # admit_many == sequential admits (the coalescing correctness core)
 # ---------------------------------------------------------------------------
 def _assert_batch_equals_sequential(processors: int, tasks: list) -> None:
-    batched = AdmissionController(processors)
-    sequential = AdmissionController(processors)
-    batch_decisions = batched.admit_many(tasks)
-    seq_decisions = [sequential.admit(task) for task in tasks]
+    """One ``admit_many`` under the server's ``fsync="batch"`` policy ==
+    a loop of ``admit`` on a second durable controller."""
+    with tempfile.TemporaryDirectory() as scratch:
+        batch_path = Path(scratch) / "batch.jsonl"
+        seq_path = Path(scratch) / "seq.jsonl"
+        with Journal(batch_path, fsync="batch") as journal:
+            batched = DurableController(
+                AdmissionController(processors), journal
+            )
+            batch_decisions = batched.admit_many(tasks)
+        with Journal(seq_path, fsync="off") as journal:
+            sequential = DurableController(
+                AdmissionController(processors), journal
+            )
+            seq_decisions = [sequential.admit(task) for task in tasks]
+        batch_records, _ = Journal.read(batch_path)
+        seq_records, _ = Journal.read(seq_path)
     assert [_no_latency(d) for d in batch_decisions] == [
         _no_latency(d) for d in seq_decisions
     ]
@@ -143,6 +158,7 @@ def _assert_batch_equals_sequential(processors: int, tasks: list) -> None:
     # wall-clock, so equality here is the bit-identity claim.
     assert batched.snapshot() == sequential.snapshot()
     assert batched.seq == sequential.seq
+    assert batch_records == seq_records
 
 
 class TestAdmitManyEquivalence:
@@ -175,39 +191,30 @@ class TestAdmitManyEquivalence:
             gadget.processors, list(gadget.system)
         )
 
-    def test_mixed_with_departures_interleaved(self):
+    def test_mixed_with_departures_interleaved(self, tmp_path):
         """Batched groups between departures match the sequential history."""
-        batched = AdmissionController(16)
         sequential = AdmissionController(16)
         first = [low_task(f"a{i}", 0.3) for i in range(6)]
         second = [high_task("h", width=3)] + [
             low_task(f"b{i}", 0.5) for i in range(4)
         ]
-        batched.admit_many(first)
-        for task in first:
-            sequential.admit(task)
-        for controller in (batched, sequential):
-            controller.depart("a2")
-            controller.depart("a4")
-        batched.admit_many(second)
-        for task in second:
-            sequential.admit(task)
+        with Journal(tmp_path / "j.jsonl", fsync="batch") as journal:
+            batched = DurableController(AdmissionController(16), journal)
+            batched.admit_many(first)
+            for task in first:
+                sequential.admit(task)
+            for controller in (batched, sequential):
+                controller.depart("a2")
+                controller.depart("a4")
+            batched.admit_many(second)
+            for task in second:
+                sequential.admit(task)
         assert batched.snapshot() == sequential.snapshot()
 
-    def test_durable_batches_journal_identically(self, tmp_path):
-        """The journal of one admit_many == the journal of N admits."""
-        tasks = [low_task(f"x{i}", 0.4) for i in range(5)]
-        with Journal(tmp_path / "batch.jsonl", fsync="batch") as journal:
-            DurableController(
-                AdmissionController(8), journal
-            ).admit_many(tasks)
-        with Journal(tmp_path / "seq.jsonl", fsync="off") as journal:
-            durable = DurableController(AdmissionController(8), journal)
-            for task in tasks:
-                durable.admit(task)
-        batch_records, _ = Journal.read(tmp_path / "batch.jsonl")
-        seq_records, _ = Journal.read(tmp_path / "seq.jsonl")
-        assert batch_records == seq_records
+    def test_durable_batches_journal_identically(self):
+        _assert_batch_equals_sequential(
+            8, [low_task(f"x{i}", 0.4) for i in range(5)]
+        )
 
     def test_admit_many_raises_mid_batch_but_journals_prefix(self, tmp_path):
         """A caller error mid-batch keeps the committed prefix durable."""
@@ -647,9 +654,8 @@ class TestServiceTelemetry:
     def test_depart_histogram_and_compaction_counter(self):
         with collecting() as registry:
             controller = AdmissionController(16, repack_on_departure=True)
-            controller.admit_many(
-                [low_task(f"d{i}", 0.3) for i in range(8)]
-            )
+            for i in range(8):
+                controller.admit(low_task(f"d{i}", 0.3))
             controller.admit(high_task("h", width=3))
             for task_id in ("d1", "d3", "h", "d5"):
                 controller.depart(task_id)
