@@ -29,8 +29,10 @@ state *before* journaling it, so a crash between the two replays the event
 from the previous record boundary -- sound either way because the
 controller is a deterministic function of its event history.  Under the
 ``batch`` policy the durability point moves to :meth:`Journal.sync` (one
-group commit per coalesced admit batch, the admission-service fast path);
-``off`` trades durability for speed in experiments.
+group commit per coalesced request batch, the admission-service fast path);
+``off`` trades durability for speed in experiments.  A checkpoint is only
+written over a synced journal, so it never reflects a record a host crash
+could still lose.
 
 The journal doubles as the replication stream: :class:`JournalFollower`
 tail-reads complete records as a writer appends them (never consuming a
@@ -57,7 +59,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -86,6 +87,7 @@ __all__ = [
     "RecoveryReport",
     "write_checkpoint",
     "load_checkpoint",
+    "controller_from_genesis",
     "recover",
 ]
 
@@ -139,14 +141,9 @@ class Journal:
     ``"off"``
         appends are flushed but never fsynced -- for bulk experiment replays
         where the "crash" is simulated anyway.
-
-    The legacy boolean (``True``/``False`` from the PR 4 API) is still
-    accepted and maps to ``"always"``/``"off"``.
     """
 
-    def __init__(self, path: str | Path, fsync: str | bool = "always") -> None:
-        if isinstance(fsync, bool):
-            fsync = "always" if fsync else "off"
+    def __init__(self, path: str | Path, fsync: str = "always") -> None:
         if fsync not in FSYNC_POLICIES:
             raise OnlineError(
                 f"fsync policy must be one of {FSYNC_POLICIES}, got {fsync!r}"
@@ -407,6 +404,32 @@ def genesis_record(controller: AdmissionController) -> dict:
     }
 
 
+def controller_from_genesis(record: dict) -> AdmissionController:
+    """The empty controller a journal's :func:`genesis_record` describes.
+
+    Raises :class:`PersistenceError` on a record of another kind or
+    journal schema, a missing or ill-typed field, or a platform size the
+    controller refuses.
+    """
+    kind = record.get("kind")
+    if kind != "genesis":
+        raise PersistenceError(f"first record is {kind!r}, not genesis")
+    schema = record.get("journal_schema")
+    if schema != JOURNAL_SCHEMA:
+        raise PersistenceError(
+            f"unsupported journal_schema {schema!r} "
+            f"(this build reads version {JOURNAL_SCHEMA})"
+        )
+    try:
+        return AdmissionController(
+            int(record["processors"]),
+            ls_order=str(record["ls_order"]),
+            repack_on_departure=bool(record["repack_on_departure"]),
+        )
+    except (KeyError, TypeError, ValueError, OnlineError) as exc:
+        raise PersistenceError(f"malformed genesis record: {exc}") from exc
+
+
 def admit_record(task: SporadicDAGTask, decision: AdmissionDecision) -> dict:
     """One admit decision -- rejected arrivals included, so replay reproduces
     the sequence counter exactly."""
@@ -645,28 +668,7 @@ def _recover(
                 checkpoint,
             )
     else:
-        genesis = records[0]
-        if genesis.get("kind") != "genesis":
-            raise PersistenceError(
-                f"{journal}: first record is {genesis.get('kind')!r}, not "
-                "genesis; cannot recover without a checkpoint"
-            )
-        schema = genesis.get("journal_schema")
-        if schema != JOURNAL_SCHEMA:
-            raise PersistenceError(
-                f"{journal}: unsupported journal_schema {schema!r} "
-                f"(this build reads version {JOURNAL_SCHEMA})"
-            )
-        try:
-            controller = AdmissionController(
-                int(genesis["processors"]),
-                ls_order=str(genesis["ls_order"]),
-                repack_on_departure=bool(genesis["repack_on_departure"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PersistenceError(
-                f"{journal}: malformed genesis record: {exc}"
-            ) from exc
+        controller = controller_from_genesis(records[0])
         start = 1
     replayed = 0
     for record in records[start:]:
@@ -790,35 +792,6 @@ class DurableController:
             self._committed()
             return decision
 
-    def admit_many(
-        self, tasks: Iterable[SporadicDAGTask]
-    ) -> list[AdmissionDecision]:
-        """Commit a coalesced batch of arrivals with one group fsync.
-
-        Each task is applied and journaled exactly as :meth:`admit` would
-        (same decisions, same record contents, same order), but under the
-        ``batch`` fsync policy the journal is flushed once after the whole
-        group instead of once per record -- this is the durability point for
-        the entire batch, and the throughput lever the admission service
-        relies on.  Under ``always``/``off`` policies the call degrades to a
-        plain sequential loop.
-        """
-        tasks = list(tasks)
-        with _span("online.commit_group", op="admit_many", size=len(tasks)):
-            decisions = []
-            try:
-                for task in tasks:
-                    decision = self._controller.admit(task)
-                    self._journal.append(admit_record(task, decision))
-                    decisions.append(decision)
-            finally:
-                # Whatever was applied must be durable, even if a later
-                # task in the batch raised a caller error.
-                self._journal.sync()
-            for _ in decisions:
-                self._committed()
-            return decisions
-
     def depart(self, task_id: str) -> DepartureReceipt:
         with _span("online.commit", op="depart", task=task_id):
             receipt = self._controller.depart(task_id)
@@ -834,9 +807,14 @@ class DurableController:
             return migrations, clean
 
     def checkpoint(self) -> None:
-        """Publish the current state to *checkpoint_path* atomically."""
+        """Publish the current state to *checkpoint_path* atomically.
+
+        The journal is synced first: a checkpoint must not reflect a record
+        that a host crash could still take out of the journal.
+        """
         if self._checkpoint_path is None:
             raise OnlineError("no checkpoint_path configured")
+        self._journal.sync()
         write_checkpoint(
             self._controller, self._checkpoint_path, self._journal.entries
         )

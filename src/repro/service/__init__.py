@@ -8,11 +8,11 @@ package makes it *serve*.  The pieces, bottom-up:
     framing as the journal so replication streams are journal-verbatim.
 :mod:`repro.service.server`
     :class:`~repro.service.server.AdmissionServer`: asyncio front-end that
-    coalesces concurrent arrivals into one batched incremental pass
-    (``admit_many``) with a single group fsync per batch, answers only
-    after durability, and streams every committed record to replication
-    subscribers.  Optional HTTP shim (``/admit``, ``/depart``, ``/state``,
-    ``/metrics``).
+    coalesces concurrent requests into one commit batch, applies each
+    through ``DurableController.admit``/``depart`` with a single group
+    fsync per batch, answers only after durability, and streams every
+    fsynced record to replication subscribers.  Optional HTTP shim
+    (``/admit``, ``/depart``, ``/state``, ``/metrics``).
 :mod:`repro.service.replica`
     :class:`~repro.service.replica.StandbyReplica` +
     :class:`~repro.service.replica.StandbyFollower`: the warm standby.

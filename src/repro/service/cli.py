@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     srv.add_argument(
         "--fsync", choices=("always", "batch", "off"), default="batch",
         help="journal durability policy; 'batch' = one group fsync per "
-        "coalesced admit batch (the service default)",
+        "commit batch (the service default)",
     )
     srv.add_argument(
         "--max-batch", type=int, default=128, metavar="N",

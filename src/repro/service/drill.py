@@ -35,7 +35,7 @@ from repro.model.serialization import task_to_dict
 from repro.model.task import SporadicDAGTask
 from repro.obs.logging import get_logger
 from repro.online.controller import AdmissionController
-from repro.online.persist import JOURNAL_SCHEMA, Journal, _replay_record
+from repro.online.persist import Journal, _replay_record, controller_from_genesis
 from repro.service.protocol import MAX_LINE_BYTES, decode, encode
 from repro.service.replica import PromotionReport, StandbyFollower, StandbyReplica
 
@@ -108,19 +108,15 @@ class DrillReport:
 
 
 def controller_from_records(records: list[dict]) -> AdmissionController:
-    """Replay a journal record list (genesis first) into a fresh controller."""
-    if not records or records[0].get("kind") != "genesis":
+    """Replay a journal record list (genesis first) into a fresh controller.
+
+    Raises :class:`ServiceError` on an empty list and
+    :class:`~repro.errors.PersistenceError` on a bad genesis record or a
+    record whose replay diverges.
+    """
+    if not records:
         raise ServiceError("record list must start with a genesis record")
-    genesis = records[0]
-    if genesis.get("journal_schema") != JOURNAL_SCHEMA:
-        raise ServiceError(
-            f"unsupported journal_schema {genesis.get('journal_schema')!r}"
-        )
-    controller = AdmissionController(
-        int(genesis["processors"]),
-        ls_order=str(genesis["ls_order"]),
-        repack_on_departure=bool(genesis["repack_on_departure"]),
-    )
+    controller = controller_from_genesis(records[0])
     for record in records[1:]:
         _replay_record(controller, record)
     return controller

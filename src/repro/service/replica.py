@@ -27,17 +27,17 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.errors import PersistenceError, ServiceError
+from repro.errors import ServiceError
 from repro.obs.events import Promotion, current_context
 from repro.obs.logging import get_logger
 from repro.obs.metrics import metrics as _metrics
 from repro.obs.spans import span as _span
 from repro.online.controller import AdmissionController
 from repro.online.persist import (
-    JOURNAL_SCHEMA,
     Journal,
     RecoveryReport,
     _replay_record,
+    controller_from_genesis,
     recover,
     write_checkpoint,
 )
@@ -83,7 +83,7 @@ class StandbyReplica:
         journal_path: str | Path,
         checkpoint_path: str | Path | None = None,
         checkpoint_every: int = 0,
-        fsync: str | bool = "batch",
+        fsync: str = "batch",
     ) -> None:
         self._journal = Journal(journal_path, fsync=fsync)
         self._checkpoint_path = (
@@ -113,23 +113,7 @@ class StandbyReplica:
 
     def _apply_to_controller(self, record: dict) -> None:
         if record.get("n") == 0:
-            kind = record.get("kind")
-            if kind != "genesis":
-                raise PersistenceError(
-                    f"record 0 is {kind!r}, not genesis; cannot bootstrap "
-                    "a standby from mid-history"
-                )
-            schema = record.get("journal_schema")
-            if schema != JOURNAL_SCHEMA:
-                raise PersistenceError(
-                    f"unsupported journal_schema {schema!r} "
-                    f"(this build reads version {JOURNAL_SCHEMA})"
-                )
-            self._controller = AdmissionController(
-                int(record["processors"]),
-                ls_order=str(record["ls_order"]),
-                repack_on_departure=bool(record["repack_on_departure"]),
-            )
+            self._controller = controller_from_genesis(record)
             return
         if self._controller is None:
             raise ServiceError(

@@ -10,18 +10,20 @@ service.  Three moving parts:
   serializes them against commits, and the commit loop never awaits
   mid-mutation, so they always observe a batch boundary;
 * the single **commit loop** drains the queue into a coalesced batch,
-  applies the ops in arrival order (maximal runs of admits go through
-  :meth:`~repro.online.persist.DurableController.admit_many`, the batched
-  incremental pass), forces one group fsync
-  (:meth:`~repro.online.persist.Journal.sync` -- the batch's durability
-  point), streams the newly committed records to every replication
-  subscriber, and only then resolves the response futures: *a client never
-  sees an acknowledgement for an event that could be lost by a crash*;
+  applies each request in arrival order through
+  :meth:`~repro.online.persist.DurableController.admit` or
+  :meth:`~repro.online.persist.DurableController.depart`, forces one group
+  fsync (:meth:`~repro.online.persist.Journal.sync` -- the batch's
+  durability point), streams the newly committed records to every
+  replication subscriber, and only then resolves the response futures: *a
+  client never sees an acknowledgement for an event that could be lost by
+  a crash*;
 * **replication subscribers** are ordinary connections switched into
-  streaming mode by a ``subscribe`` op.  The backlog is read with a
-  :class:`~repro.online.persist.JournalFollower` inside the commit loop
-  (the only appender), so the handoff from backlog to live stream cannot
-  skip or duplicate a record; per-subscriber
+  streaming mode by a ``subscribe`` op, served by the commit loop after
+  the batch's fsync.  Each owns one
+  :class:`~repro.online.persist.JournalFollower` that reads its backlog and
+  then its live stream, so the handoff cannot skip or duplicate a record
+  and nothing reads the journal while nobody subscribes; per-subscriber
   :class:`~repro.online.persist.ReplicationCursor` tracks streamed vs
   acknowledged offsets, bounding standby staleness to the in-flight window.
 
@@ -39,7 +41,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import ModelError, OnlineError, ReproError, ServiceError
+from repro.errors import OnlineError, ReproError, ServiceError
 from repro.model.serialization import task_from_dict
 from repro.obs import to_prometheus
 from repro.obs.events import BatchCommit, current_context
@@ -88,7 +90,10 @@ class _Subscribe:
 
 @dataclass
 class _Subscriber:
+    """A replication stream: its socket, journal reader and ack cursor."""
+
     writer: asyncio.StreamWriter
+    follower: JournalFollower
     cursor: ReplicationCursor = field(default_factory=ReplicationCursor)
 
 
@@ -118,11 +123,6 @@ class AdmissionServer:
         self._max_batch = max_batch
         self._queue: asyncio.Queue = asyncio.Queue()
         self._subscribers: list[_Subscriber] = []
-        # The commit loop's own tail reader: everything already in the
-        # journal at start is backlog (served to subscribers on demand);
-        # only records committed from here on are broadcast live.
-        self._follower = JournalFollower(durable.journal.path)
-        self._follower.poll()  # fast-forward past the existing history
         self._server: asyncio.AbstractServer | None = None
         self._http_server: asyncio.AbstractServer | None = None
         self._commit_task: asyncio.Task | None = None
@@ -218,43 +218,25 @@ class AdmissionServer:
 
         Runs synchronously on the event loop (no awaits), so queries never
         observe a half-applied batch and arrival order is commit order.
+        Subscriptions are served after the fsync, so a subscriber is only
+        ever sent durable records.
         """
         requests = [b for b in batch if isinstance(b, _Pending)]
         with _span("service.commit_batch", size=len(requests)):
-            responses: list[tuple[_Pending, dict]] = []
-            index = 0
-            while index < len(batch):
-                entry = batch[index]
-                if isinstance(entry, _Subscribe):
-                    # Flush what precedes the subscription so the backlog
-                    # handoff happens at a record boundary.
-                    self._stream_committed()
-                    self._handle_subscribe(entry)
-                    index += 1
-                    continue
-                if entry.op == "admit":
-                    # Maximal run of admits -> one batched incremental pass.
-                    run = [entry]
-                    while (
-                        index + len(run) < len(batch)
-                        and isinstance(batch[index + len(run)], _Pending)
-                        and batch[index + len(run)].op == "admit"
-                    ):
-                        run.append(batch[index + len(run)])
-                    responses.extend(self._apply_admit_run(run))
-                    index += len(run)
-                else:
-                    responses.append((entry, self._apply_one(entry)))
-                    index += 1
-            # Group durability point: nothing is acknowledged before this.
+            responses = [self._apply(entry) for entry in requests]
+            # Group durability point: nothing is streamed or acknowledged
+            # before this.
             self._durable.journal.sync()
             self._stream_committed()
+            for entry in batch:
+                if isinstance(entry, _Subscribe):
+                    self._handle_subscribe(entry)
             accepted = sum(
-                1 for _, r in responses
+                1 for r in responses
                 if r.get("ok") and r.get("decision", {}).get("accepted")
             )
             now = time.perf_counter()
-            for entry, response in responses:
+            for entry, response in zip(requests, responses):
                 if not entry.future.done():
                     entry.future.set_result(response)
                 if _metrics.enabled and entry.enqueued:
@@ -272,81 +254,41 @@ class AdmissionServer:
                     synced=self._durable.journal.fsync_policy != "off",
                 ))
 
-    def _apply_admit_run(
-        self, run: list[_Pending]
-    ) -> list[tuple[_Pending, dict]]:
-        """Admit a run of tasks via ``admit_many``, with per-request errors.
+    def _apply(self, entry: _Pending) -> dict:
+        """Parse one request and commit it through the durable controller.
 
-        Caller errors (unparsable task, unnamed, duplicate -- in the live
-        state or earlier in this very batch) are answered individually and
-        excluded *before* the batched pass, because ``admit_many`` stops at
-        the first raising task and the batch must not.
+        The controller raises a caller error (an unnamed, duplicate or
+        unknown task) before any state change and never journals it, so a
+        failed request leaves the rest of its batch alone.
         """
-        responses: list[tuple[_Pending, dict]] = []
-        valid: list[tuple[_Pending, Any]] = []
-        names = set(self._durable.admitted_ids)
-        for entry in run:
-            try:
-                task = task_from_dict(entry.payload["task"])
-            except (ReproError, KeyError, TypeError, ValueError) as exc:
-                responses.append(
-                    (entry, error_response("bad_request", str(exc)))
-                )
-                continue
-            name = getattr(task, "name", "")
-            if not name:
-                responses.append((entry, error_response(
-                    "online_error", "cannot admit an unnamed task"
-                )))
-                continue
-            if name in names:
-                responses.append((entry, error_response(
-                    "online_error",
-                    f"task {name!r} is already admitted",
-                )))
-                continue
-            names.add(name)
-            valid.append((entry, task))
-        if valid:
-            decisions = self._durable.admit_many(
-                [task for _, task in valid]
-            )
-            for (entry, _), decision in zip(valid, decisions):
-                responses.append((entry, ok_response(
-                    "admit", decision=decision_to_dict(decision)
-                )))
-                if _metrics.enabled:
-                    _metrics.incr("service.admits")
-        return responses
-
-    def _apply_one(self, entry: _Pending) -> dict:
         try:
-            if entry.op == "depart":
+            if entry.op == "admit":
+                task = task_from_dict(entry.payload["task"])
+                decision = self._durable.admit(task)
+                response = ok_response(
+                    "admit", decision=decision_to_dict(decision)
+                )
+            else:
                 receipt = self._durable.depart(entry.payload["task_id"])
-                if _metrics.enabled:
-                    _metrics.incr("service.departs")
-                return ok_response("depart", receipt=receipt_to_dict(receipt))
-            return error_response("bad_request", f"unknown op {entry.op!r}")
-        except ModelError as exc:
-            return error_response("model_error", str(exc))
+                response = ok_response(
+                    "depart", receipt=receipt_to_dict(receipt)
+                )
         except OnlineError as exc:
             return error_response("online_error", str(exc))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (ReproError, KeyError, TypeError, ValueError) as exc:
             return error_response("bad_request", str(exc))
+        if _metrics.enabled:
+            _metrics.incr(f"service.{entry.op}s")
+        return response
 
     def _stream_committed(self) -> None:
-        """Broadcast newly committed journal records to every subscriber."""
-        records = self._follower.poll()
-        if not records or not self._subscribers:
-            # Still advance even with no subscribers: position tracks the
-            # live/backlog boundary for the next subscribe.
-            return
+        """Send every subscriber the records committed since its last read."""
         dead: list[_Subscriber] = []
         for sub in self._subscribers:
             try:
-                for record in records:
+                for record in sub.follower.poll():
                     sub.writer.write(encode({"record": record}))
-                sub.cursor.advance(self._follower.position)
+                sub.cursor.advance(sub.follower.position)
             except (ConnectionError, RuntimeError):
                 dead.append(sub)
         for sub in dead:
@@ -354,17 +296,17 @@ class AdmissionServer:
 
     def _handle_subscribe(self, request: _Subscribe) -> None:
         try:
-            backlog = JournalFollower(
+            follower = JournalFollower(
                 self._durable.journal.path, start=request.start
             )
-            records = backlog.poll()
+            records = follower.poll()
         except ReproError as exc:
             if not request.future.done():
                 request.future.set_result(
                     error_response("online_error", str(exc))
                 )
             return
-        subscriber = _Subscriber(writer=request.writer)
+        subscriber = _Subscriber(writer=request.writer, follower=follower)
         request.subscriber = subscriber
         # The ack and the backlog must hit the socket in order, before any
         # live broadcast can interleave -- so this loop writes both itself
@@ -375,7 +317,7 @@ class AdmissionServer:
         request.writer.write(encode(response))
         for record in records:
             request.writer.write(encode({"record": record}))
-        subscriber.cursor.advance(self._follower.position)
+        subscriber.cursor.advance(follower.position)
         self._subscribers.append(subscriber)
         if _metrics.enabled:
             _metrics.incr("service.subscriptions")
@@ -599,10 +541,8 @@ class AdmissionServer:
             )
         if method == "POST" and path in ("/admit", "/depart"):
             try:
-                payload = json.loads(body.decode("utf-8")) if body else {}
-            except (
-                json.JSONDecodeError, UnicodeDecodeError, RecursionError
-            ) as exc:
+                payload = decode(body) if body else {}
+            except ServiceError as exc:
                 return (
                     "400 Bad Request", "application/json",
                     json.dumps(error_response("bad_request", str(exc))) + "\n",
@@ -611,7 +551,9 @@ class AdmissionServer:
             if op == "admit" and "task" not in payload:
                 # Allow POSTing the bare serialized task as the body.
                 payload = {"task": payload}
-            response, _ = await self._dispatch({"op": op, **payload}, None)
+            # The path names the op: an "op" key in the body cannot turn
+            # the request into another one.
+            response, _ = await self._dispatch({**payload, "op": op}, None)
             status = "200 OK" if response.get("ok") else "400 Bad Request"
             return status, "application/json", json.dumps(response) + "\n"
         return "404 Not Found", "text/plain", f"no route {method} {path}\n"

@@ -207,6 +207,11 @@ class TestJournal:
         assert torn and len(records) == 1
         assert path.read_bytes() == torn_bytes
 
+    @pytest.mark.parametrize("policy", [True, False, "sometimes"])
+    def test_unknown_fsync_policy_rejected(self, tmp_path, policy):
+        with pytest.raises(OnlineError, match="fsync policy"):
+            Journal(tmp_path / "j.jsonl", fsync=policy)
+
 
 # ---------------------------------------------------------------------------
 # snapshot restore
@@ -519,6 +524,20 @@ class TestCheckpointRotation:
         assert r1.replayed == entries - offset
         assert from_ckpt.snapshot() == from_genesis.snapshot()
         assert set(tmp_path.iterdir()) == {journal, checkpoint}  # no temps
+
+    def test_checkpoint_syncs_the_journal_first(self, tmp_path):
+        """Under the batch policy a checkpoint never reflects a record the
+        journal could still lose in a host crash."""
+        checkpoint = tmp_path / "c.json"
+        with collecting() as registry:
+            with Journal(tmp_path / "j.jsonl", fsync="batch") as j:
+                durable = DurableController(
+                    AdmissionController(4), j,
+                    checkpoint_path=checkpoint, checkpoint_every=1,
+                )
+                durable.admit(low_task("a"))
+                assert registry.counter("online.journal.group_syncs") == 1
+        assert load_checkpoint(checkpoint)[1] == 2  # genesis + the admit
 
     def test_explicit_checkpoint_requires_a_path(self, tmp_path):
         with Journal(tmp_path / "j.jsonl", fsync="off") as j:

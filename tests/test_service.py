@@ -2,11 +2,12 @@
 
 The load-bearing guarantees pinned here:
 
-* **batch = sequential** -- ``DurableController.admit_many``, the call the
-  commit loop makes, is bit-identical to a loop of ``admit``: same
-  decisions (wall-clock latency aside), same lossless snapshot (shard
-  ledgers included), same sequence counter, same journal records -- driven
-  by hypothesis over random DAG-task batches, by random generated traces,
+* **batch = sequential** -- tasks pipelined on one connection to an
+  in-process server, which the commit loop coalesces into batches, are
+  bit-identical to a loop of ``DurableController.admit``: same decisions
+  (wall-clock latency aside), same lossless snapshot (shard ledgers
+  included), same sequence counter, same journal records -- driven by
+  hypothesis over random DAG-task batches, by random generated traces,
   and by the adversarial gadget frontier;
 * **journal tail-follow** -- :class:`JournalFollower` delivers exactly the
   committed records in order, never consumes a torn tail, and rejects
@@ -14,13 +15,17 @@ The load-bearing guarantees pinned here:
 * **replication cursors** -- streamed/acked offsets are monotone and an
   acknowledgement beyond what was streamed is a protocol violation;
 * **the server** -- admits/departs/queries over a real socket, batching
-  under pipelining, per-request error responses that never tear the
-  connection down, ack convergence, and the HTTP shim;
+  under pipelining, one fsync per batch however admits and departs mix,
+  per-request error responses that never tear the connection down,
+  subscribers that are sent only fsynced records, ack convergence, and the
+  HTTP shim;
 * **warm standby** -- streamed records applied through the oracle-checked
   replay path; promotion == ``recover(verify=True)`` of the journal
   prefix, at *every* record boundary of the golden 200-event trace
   (the service-level twin of the crash-recovery boundary sweep in
-  ``test_persist.py``).
+  ``test_persist.py``);
+* **one genesis parser** -- recovery, the standby and the drill refuse a
+  malformed genesis record with the same typed error.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from repro.online import (
     recover,
     replay,
 )
+from repro.online.persist import genesis_record
 from repro.service import (
     AdmissionServer,
     StandbyReplica,
@@ -62,6 +68,7 @@ from repro.service import (
     receipt_to_dict,
 )
 from repro.service.protocol import error_response, ok_response
+from repro.service.server import _Pending, _Subscribe
 
 from strategies import dag_tasks, high_task, low_task
 
@@ -131,37 +138,49 @@ class TestProtocol:
 
 
 # ---------------------------------------------------------------------------
-# admit_many == sequential admits (the coalescing correctness core)
+# commit loop == sequential admits (the coalescing correctness core)
 # ---------------------------------------------------------------------------
 def _assert_batch_equals_sequential(processors: int, tasks: list) -> None:
-    """One ``admit_many`` under the server's ``fsync="batch"`` policy ==
-    a loop of ``admit`` on a second durable controller."""
+    """*tasks* pipelined on one connection to an in-process server
+    (``fsync="batch"``) == a loop of ``admit`` on a second durable
+    controller."""
     with tempfile.TemporaryDirectory() as scratch:
-        batch_path = Path(scratch) / "batch.jsonl"
+        served_path = Path(scratch) / "server.jsonl"
         seq_path = Path(scratch) / "seq.jsonl"
-        with Journal(batch_path, fsync="batch") as journal:
-            batched = DurableController(
-                AdmissionController(processors), journal
-            )
-            batch_decisions = batched.admit_many(tasks)
+
+        async def serve():
+            server = await _start_server(Path(scratch), processors)
+            try:
+                responses = await _rpc(server.tcp_port, *(
+                    {"op": "admit", "task": task_to_dict(task)}
+                    for task in tasks
+                ))
+            finally:
+                await server.aclose()
+            return server.durable, responses
+
+        served, responses = asyncio.run(serve())
         with Journal(seq_path, fsync="off") as journal:
             sequential = DurableController(
                 AdmissionController(processors), journal
             )
             seq_decisions = [sequential.admit(task) for task in tasks]
-        batch_records, _ = Journal.read(batch_path)
+        served_records, _ = Journal.read(served_path)
         seq_records, _ = Journal.read(seq_path)
-    assert [_no_latency(d) for d in batch_decisions] == [
-        _no_latency(d) for d in seq_decisions
-    ]
+    assert all(r["ok"] for r in responses), responses
+    assert [
+        _no_latency(decision_from_dict(r["decision"])) for r in responses
+    ] == [_no_latency(d) for d in seq_decisions]
     # Snapshots are lossless (shard ledgers bit for bit) and exclude
     # wall-clock, so equality here is the bit-identity claim.
-    assert batched.snapshot() == sequential.snapshot()
-    assert batched.seq == sequential.seq
-    assert batch_records == seq_records
+    assert served.snapshot() == sequential.snapshot()
+    assert served.seq == sequential.seq
+    assert served_records == seq_records
 
 
 class TestAdmitManyEquivalence:
+    """Batch = sequential, driven through the server's commit loop."""
+
     @settings(
         max_examples=40,
         deadline=None,
@@ -192,39 +211,32 @@ class TestAdmitManyEquivalence:
         )
 
     def test_mixed_with_departures_interleaved(self, tmp_path):
-        """Batched groups between departures match the sequential history."""
+        """Durable groups of admits, each synced once, between departures
+        match the sequential history."""
         sequential = AdmissionController(16)
         first = [low_task(f"a{i}", 0.3) for i in range(6)]
         second = [high_task("h", width=3)] + [
             low_task(f"b{i}", 0.5) for i in range(4)
         ]
         with Journal(tmp_path / "j.jsonl", fsync="batch") as journal:
-            batched = DurableController(AdmissionController(16), journal)
-            batched.admit_many(first)
+            durable = DurableController(AdmissionController(16), journal)
             for task in first:
+                durable.admit(task)
                 sequential.admit(task)
-            for controller in (batched, sequential):
+            journal.sync()
+            for controller in (durable, sequential):
                 controller.depart("a2")
                 controller.depart("a4")
-            batched.admit_many(second)
             for task in second:
+                durable.admit(task)
                 sequential.admit(task)
-        assert batched.snapshot() == sequential.snapshot()
+            journal.sync()
+        assert durable.snapshot() == sequential.snapshot()
 
     def test_durable_batches_journal_identically(self):
         _assert_batch_equals_sequential(
             8, [low_task(f"x{i}", 0.4) for i in range(5)]
         )
-
-    def test_admit_many_raises_mid_batch_but_journals_prefix(self, tmp_path):
-        """A caller error mid-batch keeps the committed prefix durable."""
-        tasks = [low_task("ok0"), low_task("ok0")]  # duplicate name
-        with Journal(tmp_path / "j.jsonl", fsync="batch") as journal:
-            durable = DurableController(AdmissionController(8), journal)
-            with pytest.raises(Exception):
-                durable.admit_many(tasks)
-            records, _ = Journal.read(tmp_path / "j.jsonl")
-            assert [r["kind"] for r in records] == ["genesis", "admit"]
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +448,99 @@ class TestAdmissionServer:
         )
         assert registry.counter("service.admits") == len(tasks)
 
+    def test_mixed_batch_fsyncs_once(self, tmp_path):
+        """Admits alternating with departs still make one fsync a batch."""
+        first = [low_task(f"a{i}", 0.1) for i in range(20)]
+        mixed = []
+        for i, task in enumerate(first):
+            mixed.append(
+                {"op": "admit", "task": task_to_dict(low_task(f"b{i}", 0.1))}
+            )
+            mixed.append({"op": "depart", "task_id": task.name})
+
+        async def scenario():
+            server = await _start_server(tmp_path, processors=32)
+            try:
+                await _rpc(server.tcp_port, *(
+                    {"op": "admit", "task": task_to_dict(task)}
+                    for task in first
+                ))
+                return await _rpc(server.tcp_port, *mixed)
+            finally:
+                await server.aclose()
+
+        with collecting() as registry:
+            responses = asyncio.run(scenario())
+        assert all(r["ok"] for r in responses)
+        # Fewer batches than half the mixed requests: some batch holds at
+        # least three, so an admit followed by a depart.
+        assert registry.counter("service.batches") < len(mixed) // 2
+        assert registry.counter("online.journal.group_syncs") == (
+            registry.counter("service.batches")
+        )
+
+    def test_subscribers_are_sent_only_synced_records(self, tmp_path):
+        """Neither a new subscriber's backlog nor an existing subscriber's
+        stream carries a record the batch has not yet fsynced."""
+
+        class SyncRecordingJournal(Journal):
+            synced = 0  # entries durable at the last sync()
+
+            def sync(self):
+                super().sync()
+                self.synced = self.entries
+
+        class DurableOnlyWriter:
+            def __init__(self, journal):
+                self.journal = journal
+                self.streamed: list[int] = []
+
+            def write(self, data):
+                record = decode(data).get("record")
+                if record is not None:
+                    assert record["n"] < self.journal.synced, (
+                        f"record {record['n']} streamed before its fsync"
+                    )
+                    self.streamed.append(record["n"])
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            journal = SyncRecordingJournal(
+                tmp_path / "server.jsonl", fsync="batch"
+            )
+            server = AdmissionServer(
+                DurableController(AdmissionController(8), journal)
+            )
+
+            def request(op, **payload):
+                return _Pending(
+                    op=op, payload=payload, future=loop.create_future()
+                )
+
+            def subscribe(writer):
+                return _Subscribe(
+                    start=0, writer=writer, future=loop.create_future()
+                )
+
+            first = DurableOnlyWriter(journal)
+            second = DurableOnlyWriter(journal)
+            server._commit_batch([subscribe(first)])  # genesis is unsynced
+            server._commit_batch(
+                [request("admit", task=task_to_dict(low_task("a")))]
+            )
+            batch = [
+                request("depart", task_id="a"),
+                subscribe(second),
+                request("admit", task=task_to_dict(low_task("b"))),
+            ]
+            server._commit_batch(batch)
+            journal.close()
+            return first, second, [entry.future.result() for entry in batch]
+
+        first, second, responses = asyncio.run(scenario())
+        assert all(r["ok"] for r in responses)
+        assert first.streamed == second.streamed == [0, 1, 2, 3]
+
     def test_subscriber_acks_converge(self, tmp_path):
         tasks = [low_task(f"s{i}", 0.2) for i in range(8)]
 
@@ -526,6 +631,24 @@ class TestAdmissionServer:
                         b"\r\n\r\n" + b"[" * 100000
                     )),
                 }
+                # Hostile bodies next to a well-formed admit: the body's
+                # "op" cannot override the path, and a body that is not an
+                # object is a 400, not a dropped connection.
+                hostile = {
+                    "op_in_body": post(
+                        "/admit", {"op": "subscribe", "from": 0, "task": 1}
+                    ),
+                    "depart_list": post("/depart", [1]),
+                    "depart_int": post("/depart", 3),
+                    "admit_string": post("/admit", "task"),
+                    "concurrent": post(
+                        "/admit", task_to_dict(low_task("web2"))
+                    ),
+                }
+                answers = await asyncio.gather(*(
+                    http(port, raw) for raw in hostile.values()
+                ))
+                results.update(zip(hostile, answers))
             finally:
                 await server.aclose()
             return results
@@ -548,6 +671,13 @@ class TestAdmissionServer:
         status, body = results["deep_json"]
         assert status == "400 Bad Request"
         assert json.loads(body)["code"] == "bad_request"
+        for name in ("op_in_body", "depart_list", "depart_int", "admit_string"):
+            status, body = results[name]
+            assert status == "400 Bad Request", name
+            assert json.loads(body)["code"] == "bad_request", name
+        status, body = results["concurrent"]
+        assert status == "200 OK"
+        assert json.loads(body)["decision"]["accepted"]
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +778,59 @@ class TestGoldenBoundaryFailover:
 
 
 # ---------------------------------------------------------------------------
+# one genesis parser for recovery, the standby and the drill
+# ---------------------------------------------------------------------------
+def _genesis(drop: str = "", **changes) -> dict:
+    record = {"n": 0, **genesis_record(AdmissionController(4)), **changes}
+    record.pop(drop, None)
+    return record
+
+
+def _recover_records(tmp_path, records):
+    path = tmp_path / "j.jsonl"
+    with Journal(path, fsync="off") as journal:
+        for record in records:
+            journal.append(record)
+    return recover(None, path)
+
+
+def _standby_records(tmp_path, records):
+    replica = StandbyReplica(tmp_path / "standby.jsonl", fsync="off")
+    try:
+        for record in records:
+            replica.apply(record)
+    finally:
+        replica.close()
+
+
+class TestGenesisParsing:
+    @pytest.mark.parametrize("entry", [
+        _recover_records, _standby_records,
+        lambda tmp_path, records: controller_from_records(records),
+    ], ids=["recover", "standby", "drill"])
+    @pytest.mark.parametrize("record", [
+        _genesis(kind="admit"),
+        _genesis(journal_schema=2),
+        _genesis(drop="processors"),
+        _genesis(processors=None),
+        _genesis(processors="x"),
+        _genesis(processors=0),
+    ], ids=[
+        "wrong_kind", "wrong_schema", "no_processors", "null_processors",
+        "string_processors", "zero_processors",
+    ])
+    def test_malformed_genesis_is_a_persistence_error(
+        self, tmp_path, entry, record
+    ):
+        with pytest.raises(PersistenceError):
+            entry(tmp_path, [record])
+
+    def test_empty_record_list_is_a_service_error(self):
+        with pytest.raises(ServiceError):
+            controller_from_records([])
+
+
+# ---------------------------------------------------------------------------
 # depart-path + service telemetry surfaces
 # ---------------------------------------------------------------------------
 class TestServiceTelemetry:
@@ -675,6 +858,8 @@ class TestServiceTelemetry:
         with collecting() as registry:
             with Journal(tmp_path / "j.jsonl", fsync="batch") as journal:
                 durable = DurableController(AdmissionController(8), journal)
-                durable.admit_many([low_task(f"m{i}", 0.2) for i in range(4)])
+                for i in range(4):
+                    durable.admit(low_task(f"m{i}", 0.2))
+                journal.sync()
         assert registry.counter("online.journal.group_syncs") >= 1
         assert registry.histogram("online.journal.sync_seconds").count >= 1
