@@ -33,6 +33,7 @@ bit-identical to the breakpoint-scan reference path.
 
 from __future__ import annotations
 
+import logging
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -226,6 +227,14 @@ def partition_sporadic(
     if processors < 0:
         raise AnalysisError(f"processor count must be >= 0, got {processors}")
     ctx = current_context()
+    # First-fit needs only the first fitting processor.  The full scan stays
+    # where the candidate count is read: best/worst fit, a decision trace
+    # (PartitionAttempt.candidates) and the DEBUG "n/m candidates" line.
+    full_scan = (
+        fit is not FitStrategy.FIRST_FIT
+        or ctx is not None
+        or _log.isEnabledFor(logging.DEBUG)
+    )
     buckets: list[list[SporadicTask]] = [[] for _ in range(processors)]
     # The DBF*-based tests are answered by incremental per-processor demand
     # ledgers (O(log bucket) per probe) instead of re-scanning every bucket.
@@ -247,7 +256,12 @@ def partition_sporadic(
     for rank, task in enumerate(_sorted_tasks(tasks, order)):
         if _metrics.enabled:
             _metrics.incr("partition_placement_attempts")
-        candidates = [k for k in range(processors) if fits(k, task)]
+        if full_scan:
+            candidates = [k for k in range(processors) if fits(k, task)]
+        else:
+            candidates = next(
+                ([k] for k in range(processors) if fits(k, task)), []
+            )
         if not candidates:
             name = task.name or repr(task)
             if ctx is not None:

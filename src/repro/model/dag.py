@@ -311,11 +311,23 @@ class DAG:
         return tuple(order)
 
     def _compute_longest_chain(self) -> float:
+        # Every finish time is positive, so a plain running maximum from 0.0
+        # picks the same float as ``max(..., default=0.0)`` would.
         finish: dict[VertexId, float] = {}
+        pred = self._pred
+        wcets = self._wcets
+        longest = 0.0
         for v in self._topo:
-            best_pred = max((finish[p] for p in self._pred[v]), default=0.0)
-            finish[v] = best_pred + self._wcets[v]
-        return max(finish.values())
+            best = 0.0
+            for p in pred[v]:
+                f = finish[p]
+                if f > best:
+                    best = f
+            f = best + wcets[v]
+            finish[v] = f
+            if f > longest:
+                longest = f
+        return longest
 
     @property
     def volume(self) -> float:
@@ -422,13 +434,46 @@ class DAG:
         A job with WCET ``e`` occupies a speed-``s`` processor for ``e / s``
         time units, so speeding the platform up by ``s`` is modelled by
         dividing every WCET by ``s``.
+
+        The copy equals, slot for slot, the DAG that rebuilding from
+        ``{v: w / speed}`` and this DAG's edge list would give, but skips the
+        edge checks and the topological sort: scaling changes no edge.  It
+        shares this DAG's successor map and topological order -- no ``DAG``
+        method mutates either after construction, so sharing is safe -- and
+        builds the predecessor map in the rebuild's order (each vertex's
+        predecessors as the walk over the successor map meets them, which
+        can differ from this DAG's).  Only the WCETs, the volume and the
+        longest chain are computed anew.
+
+        Raises
+        ------
+        ModelError
+            If *speed* is not positive, or a scaled WCET is not positive and
+            finite (it underflowed to zero, overflowed, or is NaN).
         """
         if speed <= 0:
             raise ModelError(f"speed must be positive, got {speed!r}")
-        return DAG(
-            {v: w / speed for v, w in self._wcets.items()},
-            [(u, v) for u, vs in self._succ.items() for v in vs],
-        )
+        wcets = {v: w / speed for v, w in self._wcets.items()}
+        for v, w in wcets.items():
+            # The comparison also fails on NaN; anything else _check_wcet
+            # would refuse reaches it.
+            if type(w) is not float or not 0.0 < w < math.inf:
+                _check_wcet(v, w)
+        dag = DAG.__new__(DAG)
+        dag._wcets = wcets
+        dag._succ = self._succ
+        pred_lists: dict[VertexId, list[VertexId]] = {v: [] for v in self._wcets}
+        for u, vs in self._succ.items():
+            for v in vs:
+                pred_lists[v].append(u)
+        dag._pred = {v: tuple(us) for v, us in pred_lists.items()}
+        dag._topo = self._topo
+        dag._volume = float(sum(dag._wcets.values()))
+        dag._longest = dag._compute_longest_chain()
+        dag._hash = None
+        dag._digest = None
+        dag._compiled = None
+        return dag
 
     def parallelism_profile(self) -> list[tuple[float, int]]:
         """Degree of parallelism over time of the greedy unlimited-processor run.

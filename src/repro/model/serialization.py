@@ -39,6 +39,10 @@ def _encode_vertex(vertex: VertexId) -> str:
 
 
 def _decode_vertex(text: str) -> VertexId:
+    # int() parses no string that starts with a letter, so a named vertex
+    # (``mProjectPP00``) skips the raised-and-caught ValueError.
+    if isinstance(text, str) and text[:1].isalpha():
+        return text
     try:
         return int(text)
     except (TypeError, ValueError):

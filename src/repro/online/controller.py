@@ -67,6 +67,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import OnlineError, PersistenceError
 from repro.core.fedcons import FailureReason, FedConsResult, fedcons
+from repro.core.list_scheduling import PRIORITY_ORDERS
 from repro.core.minprocs import minprocs
 from repro.core.partition import AdmissionTest, PartitionResult, TaskOrder
 from repro.core.schedule import Schedule, Slot
@@ -246,7 +247,8 @@ class AdmissionController:
     processors:
         Platform size ``m`` (>= 1).
     ls_order:
-        List-Scheduling priority order for MINPROCS templates.
+        List-Scheduling priority order for MINPROCS templates: a key of
+        :data:`~repro.core.list_scheduling.PRIORITY_ORDERS`.
     repack_on_departure:
         Run the compaction pass after each low-density departure (default).
         Disabling it makes departures O(bucket) but suspends canonical
@@ -263,6 +265,11 @@ class AdmissionController:
         if processors < 1:
             raise OnlineError(
                 f"platform must have >= 1 processor, got {processors}"
+            )
+        if ls_order not in PRIORITY_ORDERS:
+            raise OnlineError(
+                f"unknown priority order {ls_order!r}; available: "
+                f"{sorted(PRIORITY_ORDERS)}"
             )
         self._m = processors
         self._ls_order = ls_order
@@ -454,7 +461,8 @@ class AdmissionController:
         ------
         PersistenceError
             On an unsupported ``schema_version`` or a structurally
-            inconsistent snapshot (missing or non-integer fields,
+            inconsistent snapshot (missing or non-integer fields, a
+            platform size or ``ls_order`` the constructor refuses,
             overlapping processor grants, digest mismatches, out-of-range
             bucket indices...).
         """
@@ -473,9 +481,9 @@ class AdmissionController:
             canonical = bool(snapshot["canonical"])
             ls_order = str(snapshot["ls_order"])
             repack = bool(snapshot["repack_on_departure"])
-        except (KeyError, TypeError, ValueError) as exc:
+            controller = cls(m, ls_order=ls_order, repack_on_departure=repack)
+        except (KeyError, TypeError, ValueError, OnlineError) as exc:
             raise PersistenceError(f"malformed snapshot: {exc}") from exc
-        controller = cls(m, ls_order=ls_order, repack_on_departure=repack)
         controller._shared = pool
         controller._buckets = [[] for _ in pool]
         controller._shards = []

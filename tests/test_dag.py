@@ -1,6 +1,10 @@
 """Unit tests for repro.model.dag."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CycleError, ModelError
 from repro.model.dag import DAG
@@ -222,3 +226,110 @@ class TestTimes:
     def test_parallelism_profile_ends_at_zero(self, diamond_dag):
         profile = diamond_dag.parallelism_profile()
         assert profile[-1][1] == 0
+
+
+# ---------------------------------------------------------------------------
+# scaled() builds, slot for slot, what a rebuild from the edge list builds
+# ---------------------------------------------------------------------------
+def _rebuilt(dag: DAG, speed: float) -> DAG:
+    """The reference scaled copy: a full rebuild from the edge list."""
+    return DAG(
+        {v: w / speed for v, w in dag._wcets.items()},
+        [(u, v) for u, vs in dag._succ.items() for v in vs],
+    )
+
+
+def _generator_longest(dag: DAG) -> float:
+    """The chain DP as a per-vertex ``max`` generator over predecessors."""
+    finish = {}
+    for v in dag._topo:
+        best = max((finish[p] for p in dag._pred[v]), default=0.0)
+        finish[v] = best + dag._wcets[v]
+    return max(finish.values())
+
+
+def _slots(dag: DAG) -> tuple:
+    """Every structural slot, with order and exact float bits."""
+    return (
+        [(v, w.hex()) for v, w in dag._wcets.items()],
+        list(dag._succ.items()),
+        list(dag._pred.items()),
+        dag._topo,
+        dag._volume.hex(),
+        dag._longest.hex(),
+    )
+
+
+_wcet_values = st.one_of(
+    st.floats(min_value=1e-3, max_value=1e3), st.sampled_from([1e-30, 1e30])
+)
+# The specials make some quotients underflow to 0, overflow to inf or be NaN.
+_speeds = st.one_of(
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.sampled_from([math.inf, math.nan, 1e-300, 1e300]),
+)
+
+
+@st.composite
+def shuffled_dags(draw, max_vertices: int = 9) -> DAG:
+    """A DAG whose WCET mapping is not in topological order, built from a
+    shuffled edge list (so its predecessor order is the edge list's, not the
+    successor walk's); edges run from lower to higher vertex number."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    order = draw(st.permutations(range(n)))
+    weights = draw(st.lists(_wcet_values, min_size=n, max_size=n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = draw(st.permutations([p for p, keep in zip(pairs, mask) if keep]))
+    return DAG(dict(zip(order, weights)), edges)
+
+
+def _assert_scaled_matches_rebuild(dag: DAG, speed: float) -> DAG | None:
+    try:
+        reference = _rebuilt(dag, speed)
+    except ModelError as exc:
+        with pytest.raises(ModelError) as raised:
+            dag.scaled(speed)
+        assert str(raised.value) == str(exc)
+        return None
+    scaled = dag.scaled(speed)
+    assert _slots(scaled) == _slots(reference)
+    assert scaled._longest.hex() == _generator_longest(scaled).hex()
+    assert scaled == reference and scaled.digest() == reference.digest()
+    return scaled
+
+
+class TestScaled:
+    @settings(max_examples=200, deadline=None)
+    @given(dag=shuffled_dags(), first=_speeds, second=_speeds)
+    def test_scaled_equals_rebuild_slot_by_slot(self, dag, first, second):
+        assert dag._longest.hex() == _generator_longest(dag).hex()
+        scaled = _assert_scaled_matches_rebuild(dag, first)
+        if scaled is not None:
+            _assert_scaled_matches_rebuild(scaled, second)
+
+    def test_scaled_builds_the_rebuild_predecessor_order(self):
+        # Vertex 2's predecessors are listed (1, 0) by the edge list but met
+        # as (0, 1) by the walk over the successor map.
+        dag = DAG({0: 1.0, 1: 2.0, 2: 3.0}, [(1, 2), (0, 2)])
+        assert dag.predecessors(2) == (1, 0)
+        assert dag.scaled(2.0).predecessors(2) == (0, 1)
+        assert dag.scaled(2.0).predecessors(2) == _rebuilt(dag, 2.0).predecessors(2)
+
+    @pytest.mark.parametrize(
+        "wcets, speed",
+        [
+            ({0: 1.0, 1: 1e-300}, 1e30),  # underflow to 0.0
+            ({0: 1.0, 1: 1e300}, 1e-10),  # overflow to inf
+            ({0: 1.0, 1: 2.0}, math.nan),  # NaN
+            ({0: 1.0, 1: 2.0}, math.inf),  # every quotient 0.0
+        ],
+    )
+    def test_unrepresentable_wcet_raises_the_rebuild_error(self, wcets, speed):
+        dag = DAG(wcets, [(0, 1)])
+        with pytest.raises(ModelError) as rebuilt:
+            _rebuilt(dag, speed)
+        with pytest.raises(ModelError) as scaled:
+            dag.scaled(speed)
+        assert str(scaled.value) == str(rebuilt.value)
+        assert "must be positive and finite" in str(scaled.value)

@@ -1,6 +1,10 @@
 """Unit tests for repro.core.partition (Figure 4 of the paper)."""
 
+import logging
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import AnalysisError
 from repro.core.dbf import edf_approx_test, edf_exact_test
@@ -11,9 +15,13 @@ from repro.core.partition import (
     partition,
     partition_sporadic,
 )
+from repro.core.shard import ShardState
 from repro.model.dag import DAG
 from repro.model.sporadic import SporadicTask
 from repro.model.task import SporadicDAGTask
+from repro.obs import PartitionAttempt, tracing
+
+from strategies import constrained_sets
 
 
 def _spor(w, d, t, name=""):
@@ -179,3 +187,56 @@ class TestPartitionDagTasks:
         result = partition([fig1_task], 1)
         sporadic = result.assignment[0][0]
         assert sporadic.wcet == fig1_task.volume
+
+
+_SHARD_TESTS = (AdmissionTest.DBF_APPROX, AdmissionTest.DBF_APPROX_ALL_POINTS)
+
+
+def _full_scan_counts(tasks, processors, admission):
+    """Processors that fit each first-fit placement, counted by a full scan."""
+    probe = (
+        ShardState.fits_at_deadline
+        if admission is AdmissionTest.DBF_APPROX
+        else ShardState.fits_all_points
+    )
+    shards = [ShardState() for _ in range(processors)]
+    counts = []
+    ranked = sorted(range(len(tasks)), key=lambda i: (tasks[i].deadline, i))
+    for rank, i in enumerate(ranked):
+        fitting = [k for k in range(processors) if probe(shards[k], tasks[i])]
+        counts.append(len(fitting))
+        if not fitting:
+            break
+        shards[fitting[0]].add(tasks[i], rank)
+    return counts
+
+
+class TestFirstFitScan:
+    """First-fit stops at the first fit unless the candidate count is read."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        tasks=constrained_sets(max_tasks=8),
+        processors=st.integers(min_value=1, max_value=5),
+        admission=st.sampled_from(_SHARD_TESTS),
+    )
+    def test_trace_counts_every_fitting_processor(
+        self, tasks, processors, admission
+    ):
+        plain = partition_sporadic(tasks, processors, admission=admission)
+        with tracing() as ctx:
+            traced = partition_sporadic(tasks, processors, admission=admission)
+        assert traced == plain
+        assert traced.assignment == plain.assignment
+        assert [a.candidates for a in ctx.events_of(PartitionAttempt)] == (
+            _full_scan_counts(tasks, processors, admission)
+        )
+
+    @pytest.mark.parametrize("admission", _SHARD_TESTS)
+    def test_debug_line_counts_every_fitting_processor(self, caplog, admission):
+        tasks = [_spor(1, 10, 10, name=f"t{i}") for i in range(2)]
+        with caplog.at_level(logging.DEBUG, logger="repro.core.partition"):
+            result = partition_sporadic(tasks, 3, admission=admission)
+        assert result.assignment[0] == tuple(tasks)
+        lines = [r.getMessage() for r in caplog.records]
+        assert any("(3/3 candidates)" in line for line in lines), lines

@@ -34,6 +34,7 @@ from hypothesis import strategies as st
 from repro.errors import OnlineError, PersistenceError
 from repro.generation.traces import TraceConfig, generate_trace
 from repro.io import atomic_write_text, atomic_writer, read_jsonl
+from repro.model.serialization import task_to_dict
 from repro.obs import Checkpoint, Recovery, collecting, tracing
 from repro.online import (
     SNAPSHOT_SCHEMA,
@@ -47,7 +48,7 @@ from repro.online import (
     write_checkpoint,
 )
 from repro.online.cli import admit_main
-from repro.online.persist import _replay_record
+from repro.online.persist import _replay_record, genesis_record
 
 from strategies import high_task, low_task
 
@@ -478,6 +479,37 @@ class TestCrashInjection:
             journal.append({"kind": "compact", "migrations": 0, "clean": True})
         with pytest.raises(PersistenceError, match="genesis"):
             recover(None, path)
+
+    def test_unknown_priority_order_in_genesis_rejected(self, tmp_path):
+        # An unchecked order would first fail inside list scheduling, at the
+        # high-density admit; the genesis record must be refused before it.
+        path = tmp_path / "j.jsonl"
+        with Journal(path, fsync="off") as journal:
+            genesis = genesis_record(AdmissionController(4))
+            journal.append({**genesis, "ls_order": "bogus"})
+            journal.append(
+                {
+                    "kind": "admit", "id": "h",
+                    "task": task_to_dict(high_task("h")), "accepted": True,
+                    "decided": "high_density", "processors": [0, 1, 2],
+                    "reason": "",
+                }
+            )
+        with pytest.raises(PersistenceError, match="priority order"):
+            recover(None, path)
+
+    @pytest.mark.parametrize(
+        "field, value", [("ls_order", "bogus"), ("processors", 0)]
+    )
+    def test_snapshot_the_constructor_refuses_rejected(self, field, value):
+        snapshot = AdmissionController(4).snapshot()
+        snapshot[field] = value
+        with pytest.raises(PersistenceError, match="malformed snapshot"):
+            AdmissionController.restore(snapshot)
+
+    def test_constructor_refuses_unknown_priority_order(self):
+        with pytest.raises(OnlineError, match="unknown priority order"):
+            AdmissionController(4, ls_order="bogus")
 
     def test_deadline_missing_template_rejected(self):
         # Forge a snapshot whose template misses its deadline; restore()

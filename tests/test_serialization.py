@@ -18,6 +18,28 @@ from repro.model import (
     task_from_dict,
     task_to_dict,
 )
+from repro.model.serialization import _decode_vertex
+
+
+def _int_or_str(text):
+    """The reference decoding: an int where int() parses, else unchanged."""
+    try:
+        return int(text)
+    except (TypeError, ValueError):
+        return text
+
+
+class TestDecodeVertex:
+    @pytest.mark.parametrize(
+        "text",
+        ["0", "-3", " 4 ", "+5", "1_000", "\u0663", "\u00b2", "\u216b",
+         "\u01c51", "mProjectPP00", "v1", "", "+", 7],
+    )
+    def test_matches_int_or_str(self, text):
+        decoded = _decode_vertex(text)
+        reference = _int_or_str(text)
+        assert decoded == reference
+        assert type(decoded) is type(reference)
 
 
 class TestDagRoundTrip:

@@ -702,17 +702,30 @@ def golden_records(tmp_path_factory) -> list[dict]:
 
 class TestStandbyReplica:
     def test_replication_gap_rejected(self, tmp_path, golden_records):
-        replica = StandbyReplica(tmp_path / "standby.jsonl", fsync="off")
-        replica.apply(golden_records[0])
-        with pytest.raises(ServiceError, match="replication gap"):
-            replica.apply(golden_records[2])  # skipped record 1
+        with StandbyReplica(tmp_path / "standby.jsonl", fsync="off") as replica:
+            replica.apply(golden_records[0])
+            with pytest.raises(ServiceError, match="replication gap"):
+                replica.apply(golden_records[2])  # skipped record 1
 
     def test_records_before_genesis_rejected(self, tmp_path, golden_records):
-        replica = StandbyReplica(tmp_path / "standby.jsonl", fsync="off")
-        with pytest.raises(ServiceError):
-            replica.apply(golden_records[1])
-        with pytest.raises(ServiceError):
-            replica.promote()
+        with StandbyReplica(tmp_path / "standby.jsonl", fsync="off") as replica:
+            with pytest.raises(ServiceError):
+                replica.apply(golden_records[1])
+            with pytest.raises(ServiceError):
+                replica.promote()
+
+    def test_unknown_priority_order_in_genesis_rejected(self, tmp_path):
+        genesis = {"n": 0, **genesis_record(AdmissionController(M))}
+        genesis["ls_order"] = "bogus"
+        admit = {
+            "n": 1, "kind": "admit", "id": "h",
+            "task": task_to_dict(high_task("h")), "accepted": True,
+            "decided": "high_density", "processors": [0, 1, 2], "reason": "",
+        }
+        with StandbyReplica(tmp_path / "standby.jsonl", fsync="off") as replica:
+            with pytest.raises(PersistenceError, match="priority order"):
+                for record in (genesis, admit):
+                    replica.apply(record)
 
     def test_resume_from_existing_local_journal(
         self, tmp_path, golden_records
@@ -734,8 +747,6 @@ class TestStandbyReplica:
 
     def test_divergent_stream_rejected(self, tmp_path, golden_records):
         """A tampered streamed record fails the replay oracle, not silently."""
-        replica = StandbyReplica(tmp_path / "standby.jsonl", fsync="off")
-        replica.apply(golden_records[0])
         admit = next(
             dict(r) for r in golden_records[1:]
             if r["kind"] == "admit" and r["accepted"]
@@ -745,8 +756,10 @@ class TestStandbyReplica:
         admit["decided"] = None
         admit["processors"] = []
         admit["reason"] = "tampered"
-        with pytest.raises(PersistenceError):
-            replica.apply(admit)
+        with StandbyReplica(tmp_path / "standby.jsonl", fsync="off") as replica:
+            replica.apply(golden_records[0])
+            with pytest.raises(PersistenceError):
+                replica.apply(admit)
 
 
 class TestGoldenBoundaryFailover:
