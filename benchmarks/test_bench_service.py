@@ -30,6 +30,7 @@ from pathlib import Path
 from repro.generation.tasksets import SystemConfig
 from repro.generation.traces import TraceConfig, generate_trace
 from repro.online import Journal, recover, write_checkpoint
+from repro.online.persist import replay_record
 from repro.service.drill import (
     controller_from_records,
     drive_admissions,
@@ -85,7 +86,7 @@ def test_bench_service(tmp_path):
 
     # Byte-identical decisions: the journal defines the canonical sequential
     # order; replaying it oracle-checks every recorded decision against a
-    # fresh controller (any divergence raises inside _replay_record).
+    # fresh controller (any divergence raises inside replay_record).
     records, _ = Journal.read(tmp_path / "load.journal")
     sequential = controller_from_records(records)
     assert sequential.admitted_count == accepted
@@ -93,10 +94,8 @@ def test_bench_service(tmp_path):
     # Baseline: per-event full re-analysis of the same committed sequence.
     baseline = controller_from_records(records[:1])
     baseline_seconds = 0.0
-    from repro.online.persist import _replay_record
-
     for record in records[1:]:
-        _replay_record(baseline, record)
+        replay_record(baseline, record)
         started = time.perf_counter()
         baseline.reanalyze()
         baseline_seconds += time.perf_counter() - started

@@ -40,8 +40,10 @@ from repro.online.controller import AdmissionController
 from repro.online.persist import (
     DurableController,
     Journal,
+    controller_from_genesis,
     load_checkpoint,
     recover,
+    replay_record,
 )
 from repro.online.trace import replay
 
@@ -154,12 +156,10 @@ def _crash_table(samples: int, seed: int, boundary_stride: int) -> Table:
                 # Replay an oracle controller record by record so every
                 # sampled boundary has a reference snapshot.
                 oracle_records, _ = Journal.read(journal_path)
-                oracle = AdmissionController(config.processors)
+                oracle = controller_from_genesis(oracle_records[0])
                 reference: dict[int, dict] = {1: oracle.snapshot()}
-                from repro.online.persist import _replay_record
-
                 for k, record in enumerate(oracle_records[1:], start=2):
-                    _replay_record(oracle, record)
+                    replay_record(oracle, record)
                     reference[k] = oracle.snapshot()
                 cut = directory / "cut.journal"
                 # Record-boundary crashes (sampled with a stride).

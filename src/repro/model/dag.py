@@ -147,28 +147,6 @@ class DAG:
         edges = [(0, i + 1) for i in range(n)] + [(i + 1, n + 1) for i in range(n)]
         return cls(wcets, edges)
 
-    @classmethod
-    def from_networkx(cls, graph: Any, wcet_attr: str = "wcet") -> "DAG":
-        """Build from a ``networkx.DiGraph`` whose nodes carry a WCET attribute."""
-        wcets = {}
-        for node, data in graph.nodes(data=True):
-            if wcet_attr not in data:
-                raise ModelError(f"node {node!r} lacks attribute {wcet_attr!r}")
-            wcets[node] = data[wcet_attr]
-        return cls(wcets, graph.edges())
-
-    def to_networkx(self) -> Any:
-        """Export as a ``networkx.DiGraph`` with a ``wcet`` node attribute."""
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        for v, w in self._wcets.items():
-            graph.add_node(v, wcet=w)
-        for u, vs in self._succ.items():
-            for v in vs:
-                graph.add_edge(u, v)
-        return graph
-
     # ------------------------------------------------------------------
     # basic accessors
     # ------------------------------------------------------------------

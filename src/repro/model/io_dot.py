@@ -16,6 +16,7 @@ from pathlib import Path
 
 from repro.errors import ModelError
 from repro.model.dag import DAG, VertexId
+from repro.model.serialization import _decode_vertex
 
 __all__ = ["parse_dot", "load_dot"]
 
@@ -42,14 +43,6 @@ def _unquote(token: str) -> str:
     if token.startswith('"') and token.endswith('"'):
         return token[1:-1]
     return token
-
-
-def _decode_id(token: str) -> VertexId:
-    text = _unquote(token)
-    try:
-        return int(text)
-    except ValueError:
-        return text
 
 
 def _attrs(text: str | None) -> dict[str, str]:
@@ -91,14 +84,14 @@ def parse_dot(source: str, default_wcet: float | None = None) -> DAG:
             continue
         edge_match = _EDGE_RE.match(line)
         if edge_match:
-            src = _decode_id(edge_match.group("src"))
-            dst = _decode_id(edge_match.group("dst"))
+            src = _decode_vertex(_unquote(edge_match.group("src")))
+            dst = _decode_vertex(_unquote(edge_match.group("dst")))
             edges.append((src, dst))
             endpoints.update((src, dst))
             continue
         node_match = _NODE_RE.match(line)
         if node_match:
-            vertex = _decode_id(node_match.group("id"))
+            vertex = _decode_vertex(_unquote(node_match.group("id")))
             attrs = _attrs(node_match.group("attrs"))
             wcet: float | None = None
             if "wcet" in attrs:

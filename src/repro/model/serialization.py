@@ -7,6 +7,10 @@ disk and reloaded bit-for-bit.
 
 Vertex identifiers are stored as strings and restored as ``int`` when they
 look like integers (the generators in this package always use integer ids).
+The codec is strict both ways: a DAG is encoded only if every id decodes
+back to itself, and a dictionary is decoded only if every id is the
+encoding of the vertex it decodes to -- so two distinct ids (``"1"`` and
+``"01"``, or ``1`` and ``"1"``) can never merge into one vertex.
 """
 
 from __future__ import annotations
@@ -50,19 +54,59 @@ def _decode_vertex(text: str) -> VertexId:
 
 
 def dag_to_dict(dag: DAG) -> dict[str, Any]:
-    """Encode a DAG as a JSON-compatible dictionary."""
+    """Encode a DAG as a JSON-compatible dictionary.
+
+    Raises :class:`ModelError` for a vertex whose encoding does not decode
+    back to the same id of the same type (``"1"``, ``"07"``, ``True``).
+    """
+    ids: dict[VertexId, str] = {}
+    for vertex in dag.wcets:
+        text = _encode_vertex(vertex)
+        if type(vertex) is not int:  # an int always round-trips
+            decoded = _decode_vertex(text)
+            if decoded != vertex or type(decoded) is not type(vertex):
+                raise ModelError(
+                    f"vertex id {vertex!r} does not survive encoding: "
+                    f"{text!r} decodes to {decoded!r}"
+                )
+        ids[vertex] = text
     return {
-        "wcets": {_encode_vertex(v): w for v, w in dag.wcets.items()},
-        "edges": [[_encode_vertex(u), _encode_vertex(v)] for u, v in dag.edges],
+        "wcets": {ids[v]: w for v, w in dag.wcets.items()},
+        "edges": [[ids[u], ids[v]] for u, v in dag.edges],
     }
 
 
 def dag_from_dict(data: dict[str, Any]) -> DAG:
-    """Decode a DAG from :func:`dag_to_dict` output."""
+    """Decode a DAG from :func:`dag_to_dict` output.
+
+    Raises :class:`ModelError` for an id -- a ``wcets`` key or an edge
+    endpoint -- that is not the encoding of the vertex it decodes to
+    (``"01"``, ``" 1"``, ``"+1"``, a non-string endpoint).
+    """
     try:
-        wcets = {_decode_vertex(v): float(w) for v, w in data["wcets"].items()}
-        edges = [(_decode_vertex(u), _decode_vertex(v)) for u, v in data["edges"]]
+        sent = data["wcets"].items()
+        pairs = data["edges"]
     except (KeyError, TypeError, AttributeError) as exc:
+        raise ModelError(f"malformed DAG dictionary: {exc}") from exc
+    ids: dict[str, VertexId] = {}
+    wcets: dict[VertexId, float] = {}
+    try:
+        for text, wcet in sent:
+            vertex = _decode_vertex(text)
+            if _encode_vertex(vertex) != text:
+                raise ModelError(
+                    f"vertex id {text!r} is not the encoding of the vertex "
+                    f"{vertex!r} it decodes to"
+                )
+            ids[text] = vertex
+            wcets[vertex] = float(wcet)
+        # Every endpoint must be one of the ids just checked.
+        edges = [(ids[u], ids[v]) for u, v in pairs]
+    except KeyError as exc:
+        raise ModelError(
+            f"edge endpoint {exc.args[0]!r} is not a vertex id of the DAG"
+        ) from None
+    except TypeError as exc:
         raise ModelError(f"malformed DAG dictionary: {exc}") from exc
     return DAG(wcets, edges)
 

@@ -63,7 +63,8 @@ import json
 import time
 from bisect import insort
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.errors import OnlineError, PersistenceError
 from repro.core.fedcons import FailureReason, FedConsResult, fedcons
@@ -72,7 +73,12 @@ from repro.core.minprocs import minprocs
 from repro.core.partition import AdmissionTest, PartitionResult, TaskOrder
 from repro.core.schedule import Schedule, Slot
 from repro.core.shard import ShardState
-from repro.model.serialization import task_from_dict, task_to_dict
+from repro.model.serialization import (
+    _decode_vertex,
+    _encode_vertex,
+    task_from_dict,
+    task_to_dict,
+)
 from repro.model.sporadic import SporadicTask
 from repro.model.task import SporadicDAGTask
 from repro.model.taskset import TaskSystem
@@ -169,15 +175,9 @@ class _Cluster:
     __slots__ = ("task", "processors", "schedule", "seq")
 
 
-def _encode_vertex(vertex) -> str:
-    return str(vertex)
-
-
-def _decode_vertex(text: str):
-    try:
-        return int(text)
-    except (TypeError, ValueError):
-        return text
+def _admission_order(shard: ShardState) -> list[SporadicTask]:
+    """A shared bucket's tasks in admission order: its ledger by rank."""
+    return [task for task, _ in sorted(shard.entries, key=itemgetter(1))]
 
 
 def _template_to_dict(schedule: Schedule) -> dict:
@@ -280,7 +280,7 @@ class AdmissionController:
         self._low: dict[str, _LowEntry] = {}
         #: physical processor behind each shared bucket, in bucket order
         self._shared: list[int] = list(range(processors))
-        self._buckets: list[list[_LowEntry]] = [[] for _ in range(processors)]
+        #: each shared bucket's tasks, ranked by admission sequence number
         self._shards: list[ShardState] = [ShardState() for _ in range(processors)]
         self._seq = 0
         self._canonical = True
@@ -351,7 +351,7 @@ class AdmissionController:
         return PartitionResult(
             success=True,
             assignment=tuple(
-                tuple(e.sporadic for e in bucket) for bucket in self._buckets
+                tuple(_admission_order(shard)) for shard in self._shards
             ),
             processors=len(self._shared),
             dag_tasks={e.sporadic.name: e.task for e in self._low.values()},
@@ -423,7 +423,7 @@ class AdmissionController:
             "low_density": len(self._low),
             "dedicated_processors": self.dedicated_processor_count,
             "shared_processors": len(self._shared),
-            "occupied_shared": sum(1 for b in self._buckets if b),
+            "occupied_shared": self._occupied(),
             "shared_utilization": sum(s.utilization for s in self._shards),
             "canonical": self._canonical,
             "pool": list(self._shared),
@@ -431,9 +431,9 @@ class AdmissionController:
                 name: list(c.processors) for name, c in self._clusters.items()
             },
             "buckets": {
-                self._shared[k]: [e.sporadic.name for e in bucket]
-                for k, bucket in enumerate(self._buckets)
-                if bucket
+                self._shared[k]: [t.name for t in _admission_order(shard)]
+                for k, shard in enumerate(self._shards)
+                if len(shard)
             },
             "tasks": tasks,
         }
@@ -485,11 +485,9 @@ class AdmissionController:
         except (KeyError, TypeError, ValueError, OnlineError) as exc:
             raise PersistenceError(f"malformed snapshot: {exc}") from exc
         controller._shared = pool
-        controller._buckets = [[] for _ in pool]
-        controller._shards = []
+        members: list[list[tuple[SporadicTask, int]]] = [[] for _ in pool]
         granted: set[int] = set()
-        # Admission (seq) order: the canonical system order of _tasks and the
-        # within-bucket order that the compaction replay depends on.
+        # Admission (seq) order: the canonical system order of _tasks.
         try:
             task_records = sorted(task_records, key=lambda r: int(r["seq"]))
         except (KeyError, TypeError, ValueError) as exc:
@@ -542,7 +540,7 @@ class AdmissionController:
                     task=task, sporadic=task.to_sporadic(),
                     seq=task_seq, bucket=bucket,
                 )
-                controller._buckets[bucket].append(entry)
+                members[bucket].append((entry.sporadic, task_seq))
                 controller._low[name] = entry
             else:
                 raise PersistenceError(
@@ -555,10 +553,7 @@ class AdmissionController:
                 "snapshot processor grants and pool do not partition "
                 f"the {m}-processor platform"
             )
-        controller._shards = [
-            ShardState((e.sporadic, e.seq) for e in bucket)
-            for bucket in controller._buckets
-        ]
+        controller._shards = [ShardState(bucket) for bucket in members]
         controller._seq = seq
         controller._canonical = canonical
         return controller
@@ -613,7 +608,8 @@ class AdmissionController:
             tuple(t.name for t in bucket) for bucket in batch.partition.assignment
         ]
         mine_buckets = [
-            tuple(e.sporadic.name for e in bucket) for bucket in self._buckets
+            tuple(t.name for t in _admission_order(shard))
+            for shard in self._shards
         ]
         return batch_buckets == mine_buckets
 
@@ -656,11 +652,11 @@ class AdmissionController:
             self._seq += 1
             kind = HIGH_DENSITY if task.is_high_density else LOW_DENSITY
             if not task.is_constrained_deadline:
-                return self._reject(task, kind, NOT_CONSTRAINED, started)
+                return self._decided(task, kind, started, reason=NOT_CONSTRAINED)
             if task.span > task.deadline:
-                return self._reject(
-                    task, kind, FailureReason.STRUCTURALLY_INFEASIBLE.value,
-                    started,
+                return self._decided(
+                    task, kind, started,
+                    reason=FailureReason.STRUCTURALLY_INFEASIBLE.value,
                 )
             if kind == HIGH_DENSITY:
                 return self._admit_high(task, started)
@@ -672,26 +668,26 @@ class AdmissionController:
         budget = len(self._shared)
         result = minprocs(task, budget, order=self._ls_order)
         if result is None:
-            return self._reject(
-                task, HIGH_DENSITY, FailureReason.HIGH_DENSITY_PHASE.value,
-                started,
+            return self._decided(
+                task, HIGH_DENSITY, started,
+                reason=FailureReason.HIGH_DENSITY_PHASE.value,
             )
         new_pool = budget - result.processors
         highest_occupied = max(
-            (k for k, bucket in enumerate(self._buckets) if bucket), default=-1
+            (k for k, shard in enumerate(self._shards) if len(shard)),
+            default=-1,
         )
         if highest_occupied >= new_pool:
             # The shrunken shared pool could no longer carry the admitted
             # low-density tasks: the batch re-analysis would fail in the
             # PARTITION phase, so the arrival is turned away.
-            return self._reject(
-                task, HIGH_DENSITY, FailureReason.PARTITION_PHASE.value,
-                started,
+            return self._decided(
+                task, HIGH_DENSITY, started,
+                reason=FailureReason.PARTITION_PHASE.value,
                 detail={"cluster": result.processors, "pool_after": new_pool},
             )
         granted = tuple(self._shared[new_pool:])
         del self._shared[new_pool:]
-        del self._buckets[new_pool:]
         del self._shards[new_pool:]
         self._clusters[task.name] = _Cluster(
             task=task,
@@ -700,8 +696,8 @@ class AdmissionController:
             seq=self._seq,
         )
         self._tasks[task.name] = task
-        return self._accept(
-            task, HIGH_DENSITY, granted, started,
+        return self._decided(
+            task, HIGH_DENSITY, started, processors=granted,
             detail={"cluster": len(granted), "attempts": result.attempts},
         )
 
@@ -738,11 +734,12 @@ class AdmissionController:
         if active is not None:
             active.set(buckets=len(self._shards), probes=probes, bucket=placed)
         if placed is None:
-            return self._reject(
-                task, LOW_DENSITY, FailureReason.PARTITION_PHASE.value, started
+            return self._decided(
+                task, LOW_DENSITY, started,
+                reason=FailureReason.PARTITION_PHASE.value,
             )
-        return self._accept(
-            task, LOW_DENSITY, (self._shared[placed],), started,
+        return self._decided(
+            task, LOW_DENSITY, started, processors=(self._shared[placed],),
             detail={"bucket": placed},
         )
 
@@ -753,83 +750,58 @@ class AdmissionController:
         entry = _LowEntry(
             task=task, sporadic=sporadic, seq=self._seq, bucket=bucket
         )
-        self._buckets[bucket].append(entry)
         self._shards[bucket].add(sporadic, entry.seq)
         self._low[task.name] = entry
         self._tasks[task.name] = task
 
-    def _accept(
+    def _decided(
         self,
         task: SporadicDAGTask,
         kind: str,
-        processors: tuple[int, ...],
         started: float,
+        processors: tuple[int, ...] = (),
+        reason: str | None = None,
         detail: dict | None = None,
     ) -> AdmissionDecision:
+        """Report one admit outcome: a rejection iff *reason* is given."""
+        accepted = reason is None
         latency = time.perf_counter() - started
         if _metrics.enabled:
-            _metrics.incr("online.admit_accepted")
+            _metrics.incr(
+                "online.admit_accepted" if accepted else "online.admit_rejected"
+            )
             _metrics.record_time("online.admit_seconds", latency)
         active = _current_span()
         if active is not None:
-            active.set(kind=kind, accepted=True, processors=list(processors))
+            if accepted:
+                active.set(kind=kind, accepted=True, processors=list(processors))
+            else:
+                active.set(kind=kind, accepted=False, reason=reason)
         ctx = current_context()
         if ctx is not None:
             ctx.record(
                 Admission(
                     task=task.name,
                     kind=kind,
-                    accepted=True,
+                    accepted=accepted,
                     seq=self._seq,
                     processors=processors,
-                    detail=detail or {},
-                )
-            )
-        _log.info(
-            "ADMIT %s (%s): processors %s", task.name, kind, list(processors)
-        )
-        return AdmissionDecision(
-            accepted=True,
-            task_id=task.name,
-            kind=kind,
-            seq=self._seq,
-            processors=processors,
-            latency_seconds=latency,
-        )
-
-    def _reject(
-        self,
-        task: SporadicDAGTask,
-        kind: str,
-        reason: str,
-        started: float,
-        detail: dict | None = None,
-    ) -> AdmissionDecision:
-        latency = time.perf_counter() - started
-        if _metrics.enabled:
-            _metrics.incr("online.admit_rejected")
-            _metrics.record_time("online.admit_seconds", latency)
-        active = _current_span()
-        if active is not None:
-            active.set(kind=kind, accepted=False, reason=reason)
-        ctx = current_context()
-        if ctx is not None:
-            ctx.record(
-                Admission(
-                    task=task.name,
-                    kind=kind,
-                    accepted=False,
-                    seq=self._seq,
                     reason=reason,
                     detail=detail or {},
                 )
             )
-        _log.info("REJECT %s (%s): %s", task.name, kind, reason)
+        if accepted:
+            _log.info(
+                "ADMIT %s (%s): processors %s", task.name, kind, list(processors)
+            )
+        else:
+            _log.info("REJECT %s (%s): %s", task.name, kind, reason)
         return AdmissionDecision(
-            accepted=False,
+            accepted=accepted,
             task_id=task.name,
             kind=kind,
             seq=self._seq,
+            processors=processors,
             reason=reason,
             latency_seconds=latency,
         )
@@ -866,63 +838,31 @@ class AdmissionController:
         # high-density admit can carve its cluster from this tail.
         for proc in cluster.processors:
             self._shared.append(proc)
-            self._buckets.append([])
             self._shards.append(ShardState())
-        ctx = current_context()
-        if ctx is not None:
-            ctx.record(
-                Departure(
-                    task=task_id,
-                    kind=HIGH_DENSITY,
-                    seq=self._seq,
-                    released=cluster.processors,
-                )
-            )
-            ctx.record(
-                Reclamation(
-                    source=task_id,
-                    processors=cluster.processors,
-                    migrations=0,
-                    clean=True,
-                )
-            )
-        latency = time.perf_counter() - started
-        if _metrics.enabled:
-            _metrics.incr("online.departures")
-            _metrics.record_time("online.depart_seconds", latency)
-        _log.info(
-            "DEPART %s (high-density): released processors %s",
-            task_id, list(cluster.processors),
-        )
-        return DepartureReceipt(
-            task_id=task_id,
-            kind=HIGH_DENSITY,
-            seq=self._seq,
-            released=cluster.processors,
-            latency_seconds=latency,
+        return self._departed(
+            task_id, HIGH_DENSITY, started, released=cluster.processors
         )
 
     def _depart_low(self, task_id: str, started: float) -> DepartureReceipt:
         entry = self._low.pop(task_id)
         del self._tasks[task_id]
-        self._buckets[entry.bucket].remove(entry)
         self._shards[entry.bucket].remove(entry.sporadic.name)
         migrations = 0
         clean = True
         if self._repack:
-            occupied_before = sum(1 for b in self._buckets if b)
+            occupied_before = self._occupied()
             # A canonical packing diverges only where the departed task sat;
             # any other packing is replayed bucket by bucket from scratch.
             diverged = (
                 (entry.bucket,) if self._canonical
-                else range(len(self._buckets))
+                else range(len(self._shards))
             )
             migrations, clean = self._replay_suffix(entry.seq, diverged)
             if clean and _metrics.enabled:
                 # Buckets the compaction emptied: capacity consolidated back
                 # into whole reusable processors, the quantity EXP-O showed
                 # fragmentation was eating.
-                freed = occupied_before - sum(1 for b in self._buckets if b)
+                freed = occupied_before - self._occupied()
                 _metrics.incr("online.compaction_freed_processors", freed)
             if clean:
                 # A clean compaction restores the canonical packing even if a
@@ -934,20 +874,35 @@ class AdmissionController:
                     _metrics.incr("online.repack_anomalies")
         else:
             self._canonical = False
+        return self._departed(
+            task_id, LOW_DENSITY, started, migrations=migrations, clean=clean
+        )
+
+    def _departed(
+        self,
+        task_id: str,
+        kind: str,
+        started: float,
+        released: tuple[int, ...] = (),
+        migrations: int = 0,
+        clean: bool = True,
+    ) -> DepartureReceipt:
+        """Report one departure and its reclamation pass."""
         ctx = current_context()
         if ctx is not None:
             ctx.record(
                 Departure(
                     task=task_id,
-                    kind=LOW_DENSITY,
+                    kind=kind,
                     seq=self._seq,
+                    released=released,
                     migrations=migrations,
                 )
             )
             ctx.record(
                 Reclamation(
                     source=task_id,
-                    processors=(),
+                    processors=released,
                     migrations=migrations,
                     clean=clean,
                 )
@@ -955,20 +910,32 @@ class AdmissionController:
         latency = time.perf_counter() - started
         if _metrics.enabled:
             _metrics.incr("online.departures")
-            _metrics.incr("online.migrations", migrations)
+            if kind == LOW_DENSITY:
+                _metrics.incr("online.migrations", migrations)
             _metrics.record_time("online.depart_seconds", latency)
-        _log.info(
-            "DEPART %s (low-density): %d migration(s), %s",
-            task_id, migrations, "clean" if clean else "compaction kept old",
-        )
+        if kind == HIGH_DENSITY:
+            _log.info(
+                "DEPART %s (high-density): released processors %s",
+                task_id, list(released),
+            )
+        else:
+            _log.info(
+                "DEPART %s (low-density): %d migration(s), %s",
+                task_id, migrations, "clean" if clean else "compaction kept old",
+            )
         return DepartureReceipt(
             task_id=task_id,
-            kind=LOW_DENSITY,
+            kind=kind,
             seq=self._seq,
+            released=released,
             migrations=migrations,
             clean=clean,
             latency_seconds=latency,
         )
+
+    def _occupied(self) -> int:
+        """Number of shared buckets holding at least one task."""
+        return sum(1 for shard in self._shards if len(shard))
 
     def _restore_canonical_if_complete(self, from_seq: int) -> None:
         """A clean suffix replay re-canonicalises iff it covered every task
@@ -997,7 +964,7 @@ class AdmissionController:
         every bucket an entry leaves, and every bucket first-fit has to
         probe past an entry's own diverged bucket.  A diverged bucket gets a
         fresh ``ShardState`` of its replayed contents; a clean one keeps its
-        entry list and ``ShardState``.  Passing only the departed task's
+        ``ShardState``.  Passing only the departed task's
         bucket is exact when the packing is canonical (each entry's bucket
         is its first fit among the buckets restricted to earlier-admitted
         entries): a clean bucket restricted that way holds what it held
@@ -1013,7 +980,6 @@ class AdmissionController:
         suffix = [e for e in self._low.values() if e.seq > after_seq]
         if not suffix:
             return 0, True
-        new_buckets = list(self._buckets)
         new_shards = list(self._shards)
         is_diverged = [False] * len(new_shards)
         # Diverged bucket indices, ascending: the first-fit probe order.
@@ -1022,9 +988,10 @@ class AdmissionController:
         def diverge(k: int, before_seq: int) -> None:
             # Clean until now, so the bucket's replayed contents are its
             # entries admitted before the entry being replayed.
-            kept = [e for e in self._buckets[k] if e.seq < before_seq]
-            new_buckets[k] = kept
-            new_shards[k] = ShardState((e.sporadic, e.seq) for e in kept)
+            new_shards[k] = ShardState(
+                (task, seq) for task, seq in self._shards[k].entries
+                if seq < before_seq
+            )
             is_diverged[k] = True
             insort(order, k)
 
@@ -1058,11 +1025,9 @@ class AdmissionController:
                 moved.append((entry, target))
                 if not is_diverged[home]:
                     diverge(home, entry.seq)
-            new_buckets[target].append(entry)
             new_shards[target].add(entry.sporadic, entry.seq)
         for entry, k in moved:
             entry.bucket = k
-        self._buckets = new_buckets
         self._shards = new_shards
         return len(moved), True
 
@@ -1073,11 +1038,11 @@ class AdmissionController:
         in exactly the canonical (batch re-analysis) packing and restores
         :attr:`canonical`; a rejected pass changes nothing.
         """
-        occupied_before = sum(1 for b in self._buckets if b)
-        migrations, clean = self._replay_suffix(0, range(len(self._buckets)))
+        occupied_before = self._occupied()
+        migrations, clean = self._replay_suffix(0, range(len(self._shards)))
         if clean:
             if _metrics.enabled:
-                freed = occupied_before - sum(1 for b in self._buckets if b)
+                freed = occupied_before - self._occupied()
                 _metrics.incr("online.compaction_freed_processors", freed)
             self._canonical = True
         return migrations, clean

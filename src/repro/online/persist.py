@@ -12,8 +12,10 @@ the contract survive the scheduler, with the classic database recipe:
   crash mid-rotation leaves the previous checkpoint intact);
 * a :class:`Journal` is an append-only JSONL log of **every** decision --
   accepted and rejected admits (with the full serialized task), departures,
-  compaction passes -- fsynced per commit, with crash-torn final records
-  detected (and physically truncated) on open;
+  compaction passes -- fsynced per commit.  A record is committed iff its
+  newline is on disk: the bytes after the last newline are a crash-torn
+  tail, which every reader skips and :class:`Journal` physically truncates
+  on open;
 * :func:`recover` = restore the latest checkpoint (or rebuild from the
   journal's genesis record) + replay the journal tail through the real
   controller.  Replay is *oracle-checked*: each journal record carries the
@@ -62,8 +64,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.errors import OnlineError, PersistenceError
-from repro.io import atomic_write_text, read_jsonl
+from repro.errors import OnlineError, PersistenceError, ServiceError
+from repro.io import atomic_write_text
 from repro.model.serialization import task_from_dict, task_to_dict
 from repro.model.task import SporadicDAGTask
 from repro.obs.events import Checkpoint, Recovery, current_context
@@ -88,6 +90,8 @@ __all__ = [
     "write_checkpoint",
     "load_checkpoint",
     "controller_from_genesis",
+    "replay_record",
+    "controller_from_records",
     "recover",
 ]
 
@@ -119,13 +123,15 @@ FSYNC_POLICIES = ("always", "batch", "off")
 class Journal:
     """Append-only JSONL event log with a configurable fsync policy.
 
-    Opening an existing journal scans it once: a crash-torn final record
-    (unparsable *and* missing its newline) is logged, counted in
+    Opening an existing journal scans it once.  A record is committed iff
+    its newline is on disk, so bytes after the last newline are a
+    crash-torn tail: they are logged, counted in
     ``online.journal.torn_tails`` and physically truncated away so the next
-    append starts at a record boundary; any earlier unparsable record is
-    mid-file corruption and raises :class:`PersistenceError`.  Records are
-    numbered contiguously by an ``n`` field assigned here -- a gap on read
-    also raises, so silent record loss cannot masquerade as a short history.
+    append starts at a record boundary.  A committed line that is not a
+    UTF-8 JSON object carrying the next record number ``n`` (assigned here,
+    contiguously) is mid-file corruption and raises
+    :class:`PersistenceError`, so silent record loss cannot masquerade as a
+    short history.
 
     *fsync* selects the durability point (see :data:`FSYNC_POLICIES`):
 
@@ -151,31 +157,22 @@ class Journal:
         self._path = Path(path)
         self._fsync = fsync
         self._dirty = False  # batch mode: unsynced appends pending
-        self._truncate_torn_tail()
-        records, torn = read_jsonl(self._path) if self._path.exists() else ([], False)
-        assert not torn  # the tail was physically truncated above
-        _validate_contiguous(records, self._path)
+        raw = self._path.read_bytes() if self._path.exists() else b""
+        records, keep = _parse_journal(raw, self._path)
+        if keep < len(raw):
+            _log.warning(
+                "%s: truncating torn tail (%d byte(s) after the last complete "
+                "record) left by a crashed writer",
+                self._path, len(raw) - keep,
+            )
+            if _metrics.enabled:
+                _metrics.incr("online.journal.torn_tails")
+            with open(self._path, "r+b") as handle:
+                handle.truncate(keep)
+                handle.flush()
+                os.fsync(handle.fileno())
         self._entries = len(records)
         self._handle = open(self._path, "a", encoding="utf-8")
-
-    def _truncate_torn_tail(self) -> None:
-        if not self._path.exists():
-            return
-        raw = self._path.read_bytes()
-        if not raw or raw.endswith(b"\n"):
-            return
-        keep = raw.rfind(b"\n") + 1  # 0 when no complete record survived
-        _log.warning(
-            "%s: truncating torn tail (%d byte(s) after the last complete "
-            "record) left by a crashed writer",
-            self._path, len(raw) - keep,
-        )
-        if _metrics.enabled:
-            _metrics.incr("online.journal.torn_tails")
-        with open(self._path, "r+b") as handle:
-            handle.truncate(keep)
-            handle.flush()
-            os.fsync(handle.fileno())
 
     # ------------------------------------------------------------------
     @property
@@ -251,31 +248,59 @@ class Journal:
 
     @staticmethod
     def read(path: str | Path) -> tuple[list[dict], bool]:
-        """All complete records of a journal plus whether a torn tail was
+        """All committed records of a journal plus whether a torn tail was
         skipped (the file is not modified; use the constructor to also
         truncate)."""
-        records, torn = read_jsonl(path)
-        _validate_contiguous(records, path)
-        return records, torn
+        raw = Path(path).read_bytes()
+        records, committed = _parse_journal(raw, path)
+        return records, committed < len(raw)
 
 
-def _validate_contiguous(records: list[dict], path: str | Path) -> None:
-    for expected, record in enumerate(records):
-        if record.get("n") != expected:
+def _parse_journal(
+    raw: bytes, path: str | Path, first: int = 0, limit: int | None = None
+) -> tuple[list[dict], int]:
+    """The committed records at the head of *raw* and the bytes they span.
+
+    The journal's one framing rule, shared by every reader: a record is
+    committed iff its newline is on disk, so the bytes after the last
+    newline (a torn tail, or an append in flight) are left unread.  Each
+    committed line must be a UTF-8 JSON object whose ``n`` is the next
+    record number, counting from *first*; anything else is corruption and
+    raises :class:`PersistenceError`.  *limit* caps the records parsed.
+    """
+    records: list[dict] = []
+    start = 0
+    while limit is None or len(records) < limit:
+        end = raw.find(b"\n", start)
+        if end < 0:
+            break
+        n = first + len(records)
+        try:
+            record = json.loads(raw[start:end].decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise PersistenceError(
-                f"{path}: journal record {expected} carries n={record.get('n')!r}; "
-                "records are missing or reordered (mid-file corruption)"
+                f"{path}: record {n} is not UTF-8 JSON (mid-file "
+                f"corruption): {exc}"
+            ) from exc
+        if not isinstance(record, dict) or record.get("n") != n:
+            raise PersistenceError(
+                f"{path}: expected record {n}, found {raw[start:end][:60]!r}; "
+                "records are missing, reordered or damaged (mid-file "
+                "corruption)"
             )
+        records.append(record)
+        start = end + 1
+    return records, start
 
 
 class JournalFollower:
     """Incremental (tail-follow) reader of a live journal file.
 
-    Each :meth:`poll` returns the complete records appended since the last
-    poll, in order, never consuming a partially written final line -- the
+    Each :meth:`poll` returns the committed records appended since the last
+    poll, in order, under the same framing rule as :class:`Journal`: the
     follower only advances past newline-terminated records, so it can run
     concurrently with a writer that is mid-append.  Contiguity of the ``n``
-    numbering is enforced across polls; a gap raises
+    numbering is enforced across polls; a gap or a damaged record raises
     :class:`PersistenceError` exactly like a mid-file corruption on open.
 
     This is the replication substrate for a standby that shares the
@@ -318,35 +343,9 @@ class JournalFollower:
         with open(self._path, "rb") as handle:
             handle.seek(self._position)
             raw = handle.read()
-        records: list[dict] = []
-        offset = 0
-        while offset < len(raw):
-            if limit is not None and len(records) >= limit:
-                break
-            newline = raw.find(b"\n", offset)
-            if newline < 0:
-                break  # torn tail (or mid-append): leave it for next poll
-            line = raw[offset : newline + 1]
-            stripped = line.strip()
-            if stripped:
-                try:
-                    record = json.loads(stripped)
-                except json.JSONDecodeError as exc:
-                    raise PersistenceError(
-                        f"{self._path}: unparsable newline-terminated record "
-                        f"at byte {self._position + offset} (mid-file "
-                        f"corruption): {exc}"
-                    ) from exc
-                if record.get("n") != self._next:
-                    raise PersistenceError(
-                        f"{self._path}: expected record {self._next}, found "
-                        f"n={record.get('n')!r}; records are missing or "
-                        "reordered"
-                    )
-                records.append(record)
-                self._next += 1
-            offset = newline + 1
-            self._position += len(line)
+        records, consumed = _parse_journal(raw, self._path, self._next, limit)
+        self._position += consumed
+        self._next += len(records)
         return records
 
 
@@ -433,10 +432,14 @@ def controller_from_genesis(record: dict) -> AdmissionController:
 def admit_record(task: SporadicDAGTask, decision: AdmissionDecision) -> dict:
     """One admit decision -- rejected arrivals included, so replay reproduces
     the sequence counter exactly."""
+    return _admit_record(task_to_dict(task), decision)
+
+
+def _admit_record(task: dict, decision: AdmissionDecision) -> dict:
     return {
         "kind": "admit",
         "id": decision.task_id,
-        "task": task_to_dict(task),
+        "task": task,
         "accepted": decision.accepted,
         "decided": decision.kind,
         "processors": list(decision.processors),
@@ -556,8 +559,12 @@ class RecoveryReport:
         return "\n".join(lines)
 
 
-def _replay_record(controller: AdmissionController, record: dict) -> None:
-    """Apply one journal record, cross-checking the recorded outcome."""
+def replay_record(controller: AdmissionController, record: dict) -> None:
+    """Apply one journal record, cross-checking the recorded outcome.
+
+    Raises :class:`PersistenceError` on a record that cannot be replayed or
+    whose recorded decision differs from the one *controller* makes.
+    """
     kind = record.get("kind")
     n = record.get("n")
     try:
@@ -600,6 +607,21 @@ def _replay_record(controller: AdmissionController, record: dict) -> None:
             f"{replayed} -- the durable state does not describe this build's "
             "deterministic history"
         )
+
+
+def controller_from_records(records: list[dict]) -> AdmissionController:
+    """Replay a journal record list (genesis first) into a fresh controller.
+
+    Raises :class:`ServiceError` on an empty list and
+    :class:`PersistenceError` on a bad genesis record or a record whose
+    replay diverges.
+    """
+    if not records:
+        raise ServiceError("record list must start with a genesis record")
+    controller = controller_from_genesis(records[0])
+    for record in records[1:]:
+        replay_record(controller, record)
+    return controller
 
 
 def recover(
@@ -674,13 +696,13 @@ def _recover(
     for record in records[start:]:
         if _metrics.enabled:
             replay_started = time.perf_counter()
-            _replay_record(controller, record)
+            replay_record(controller, record)
             _metrics.record_time(
                 "online.recover.replay_seconds",
                 time.perf_counter() - replay_started,
             )
         else:
-            _replay_record(controller, record)
+            replay_record(controller, record)
         replayed += 1
     if verify:
         if not controller.verify(exact=exact):
@@ -786,9 +808,15 @@ class DurableController:
             self.checkpoint()
 
     def admit(self, task: SporadicDAGTask) -> AdmissionDecision:
+        """Decide and journal one arrival.
+
+        The task is encoded first: one the journal cannot hold as analysed
+        raises :class:`~repro.errors.ModelError` before any state change.
+        """
         with _span("online.commit", op="admit", task=getattr(task, "name", None)):
+            encoded = task_to_dict(task)
             decision = self._controller.admit(task)
-            self._journal.append(admit_record(task, decision))
+            self._journal.append(_admit_record(encoded, decision))
             self._committed()
             return decision
 

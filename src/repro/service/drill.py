@@ -34,8 +34,7 @@ from repro.errors import ServiceError
 from repro.model.serialization import task_to_dict
 from repro.model.task import SporadicDAGTask
 from repro.obs.logging import get_logger
-from repro.online.controller import AdmissionController
-from repro.online.persist import Journal, _replay_record, controller_from_genesis
+from repro.online.persist import Journal, controller_from_records
 from repro.service.protocol import MAX_LINE_BYTES, decode, encode
 from repro.service.replica import PromotionReport, StandbyFollower, StandbyReplica
 
@@ -105,21 +104,6 @@ class DrillReport:
             f"({'verified' if self.verified else 'UNVERIFIED'}, prefix "
             f"{'consistent' if self.prefix_consistent else 'DIVERGED'})"
         )
-
-
-def controller_from_records(records: list[dict]) -> AdmissionController:
-    """Replay a journal record list (genesis first) into a fresh controller.
-
-    Raises :class:`ServiceError` on an empty list and
-    :class:`~repro.errors.PersistenceError` on a bad genesis record or a
-    record whose replay diverges.
-    """
-    if not records:
-        raise ServiceError("record list must start with a genesis record")
-    controller = controller_from_genesis(records[0])
-    for record in records[1:]:
-        _replay_record(controller, record)
-    return controller
 
 
 def spawn_primary(

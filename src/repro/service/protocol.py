@@ -66,17 +66,32 @@ def encode(message: dict) -> bytes:
     return (json.dumps(message, separators=(",", ":")) + "\n").encode("utf-8")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object, refusing a key it repeats (``json.loads`` alone
+    keeps the last value, so ``{"op": "admit", "op": "ping"}`` would be a
+    ping)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ServiceError(f"duplicate key {key!r} in a protocol object")
+            seen.add(key)
+    return obj
+
+
 def decode(line: bytes | str) -> dict:
     """Parse one protocol line into a request/response object.
 
     Raises :class:`ServiceError` on unparsable JSON (nesting too deep for
-    the parser included) or a non-object payload -- the server answers
-    those with an error response instead of dropping the connection.
+    the parser included), an object that repeats a key at any depth, or a
+    non-object payload -- the server answers those with an error response
+    instead of dropping the connection.
     """
     if isinstance(line, bytes):
         line = line.decode("utf-8", errors="replace")
     try:
-        message = json.loads(line)
+        message = json.loads(line, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ServiceError(f"unparsable protocol line: {exc}") from exc
     if not isinstance(message, dict):

@@ -3,7 +3,7 @@
 :class:`StandbyReplica` is the socket-free core: it consumes journal
 records (from any transport) strictly in order, applies each through the
 real controller with the same oracle cross-check recovery uses
-(:func:`~repro.online.persist._replay_record` -- a divergence raises
+(:func:`~repro.online.persist.replay_record` -- a divergence raises
 instead of silently shadowing a different state), and writes the record
 *verbatim* -- original ``n`` included -- to its own local journal.  The
 standby's journal is therefore byte-for-byte replayable by
@@ -36,9 +36,10 @@ from repro.online.controller import AdmissionController
 from repro.online.persist import (
     Journal,
     RecoveryReport,
-    _replay_record,
     controller_from_genesis,
+    controller_from_records,
     recover,
+    replay_record,
     write_checkpoint,
 )
 from repro.service.protocol import MAX_LINE_BYTES, decode, encode
@@ -75,7 +76,8 @@ class StandbyReplica:
     committed record and raises :class:`ServiceError` rather than building
     a silently diverged state.  Resuming from an existing local journal is
     supported: the constructor replays it back into a live controller, and
-    :attr:`applied` tells the transport where to subscribe from.
+    :attr:`applied` tells the transport where to subscribe from.  A local
+    journal that does not replay raises, with the journal closed.
     """
 
     def __init__(
@@ -92,10 +94,13 @@ class StandbyReplica:
         self._checkpoint_every = checkpoint_every
         self._since_checkpoint = 0
         self._controller: AdmissionController | None = None
-        if self._journal.entries:
-            records, _ = Journal.read(self._journal.path)
-            for record in records:
-                self._apply_to_controller(record)
+        try:
+            if self._journal.entries:
+                records, _ = Journal.read(self._journal.path)
+                self._controller = controller_from_records(records)
+        except BaseException:
+            self._journal.close()
+            raise
 
     @property
     def applied(self) -> int:
@@ -111,16 +116,6 @@ class StandbyReplica:
     def journal(self) -> Journal:
         return self._journal
 
-    def _apply_to_controller(self, record: dict) -> None:
-        if record.get("n") == 0:
-            self._controller = controller_from_genesis(record)
-            return
-        if self._controller is None:
-            raise ServiceError(
-                "cannot apply records before the genesis record"
-            )
-        _replay_record(self._controller, record)
-
     def apply(self, record: dict) -> None:
         """Apply one streamed record and journal it verbatim.
 
@@ -134,7 +129,10 @@ class StandbyReplica:
                 f"got n={n!r}"
             )
         started = time.perf_counter() if _metrics.enabled else 0.0
-        self._apply_to_controller(record)
+        if n == 0:
+            self._controller = controller_from_genesis(record)
+        else:  # the gap check above puts the genesis record first
+            replay_record(self._controller, record)
         self._journal.append(record)  # keeps the record's own ``n``
         if _metrics.enabled:
             _metrics.incr("service.replica.applied")

@@ -1,11 +1,16 @@
 """Unit tests for repro.model.dag."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.errors import CycleError, ModelError
 from repro.model.dag import DAG
 
@@ -103,18 +108,6 @@ class TestFactories:
     def test_single_vertex_factory(self):
         dag = DAG.single_vertex(3.5, vertex="only")
         assert dag.wcet("only") == 3.5
-
-    def test_networkx_roundtrip(self, diamond_dag):
-        back = DAG.from_networkx(diamond_dag.to_networkx())
-        assert back == diamond_dag
-
-    def test_from_networkx_missing_wcet(self):
-        import networkx as nx
-
-        g = nx.DiGraph()
-        g.add_node(0)
-        with pytest.raises(ModelError, match="lacks attribute"):
-            DAG.from_networkx(g)
 
 
 class TestStructure:
@@ -333,3 +326,21 @@ class TestScaled:
             dag.scaled(speed)
         assert str(scaled.value) == str(rebuilt.value)
         assert "must be positive and finite" in str(scaled.value)
+
+
+def test_every_module_imports_without_networkx():
+    """networkx is no dependency: the whole package imports with it blocked."""
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "sys.modules['networkx'] = None\n"
+        "import repro\n"
+        "for module in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+        "    importlib.import_module(module.name)\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr

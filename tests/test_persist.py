@@ -31,16 +31,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import OnlineError, PersistenceError
+from repro.errors import ModelError, OnlineError, PersistenceError
 from repro.generation.traces import TraceConfig, generate_trace
 from repro.io import atomic_write_text, atomic_writer, read_jsonl
+from repro.model.dag import DAG
 from repro.model.serialization import task_to_dict
+from repro.model.task import SporadicDAGTask
 from repro.obs import Checkpoint, Recovery, collecting, tracing
 from repro.online import (
     SNAPSHOT_SCHEMA,
     AdmissionController,
     DurableController,
     Journal,
+    JournalFollower,
     load_checkpoint,
     load_trace,
     recover,
@@ -48,7 +51,7 @@ from repro.online import (
     write_checkpoint,
 )
 from repro.online.cli import admit_main
-from repro.online.persist import _replay_record, genesis_record
+from repro.online.persist import genesis_record, replay_record
 
 from strategies import high_task, low_task
 
@@ -84,7 +87,7 @@ def boundary_snapshots(golden_journal) -> list[dict]:
     controller = AdmissionController(int(records[0]["processors"]))
     snapshots = [controller.snapshot()]
     for record in records[1:]:
-        _replay_record(controller, record)
+        replay_record(controller, record)
         snapshots.append(controller.snapshot())
     return snapshots
 
@@ -212,6 +215,82 @@ class TestJournal:
     def test_unknown_fsync_policy_rejected(self, tmp_path, policy):
         with pytest.raises(OnlineError, match="fsync policy"):
             Journal(tmp_path / "j.jsonl", fsync=policy)
+
+
+# ---------------------------------------------------------------------------
+# one framing rule for every journal reader
+# ---------------------------------------------------------------------------
+#: Every reader of journal bytes; each must raise on a damaged record.
+_READERS = {
+    "open": lambda path: Journal(path, fsync="off").close(),
+    "read": Journal.read,
+    "recover": lambda path: recover(None, path),
+    "follow": lambda path: JournalFollower(path).poll(),
+}
+
+
+class TestFramingRule:
+    """A record is committed iff its newline is on disk; a committed line
+    that is not a UTF-8 JSON object carrying the next ``n`` is corruption."""
+
+    @pytest.mark.parametrize("reader", sorted(_READERS))
+    @pytest.mark.parametrize("line", [
+        b'{"n": 1, "kind": "compact", "migrations": 0, "clean": true, '
+        b'"note": "\xff"}\n',
+        b"[1, 2]\n",
+    ], ids=["invalid_utf8", "json_array"])
+    def test_damaged_committed_record_is_corruption(
+        self, tmp_path, reader, line
+    ):
+        path = tmp_path / "j.jsonl"
+        with Journal(path, fsync="off") as journal:
+            journal.append(genesis_record(AdmissionController(4)))
+        path.write_bytes(path.read_bytes() + line)
+        with pytest.raises(PersistenceError):
+            _READERS[reader](path)
+
+    def test_recover_then_reopen_serves_what_the_journal_holds(
+        self, tmp_path
+    ):
+        """Recovery and the reopened journal agree on a final record that
+        lacks only its newline: it is not committed, so neither keeps it, and
+        the served state stays the state a second recovery rebuilds."""
+        path = tmp_path / "j.jsonl"
+        with Journal(path, fsync="off") as journal:
+            durable = DurableController(AdmissionController(4), journal)
+            for name in ("t0", "t1", "t2"):
+                durable.admit(low_task(name, 0.2))
+        path.write_bytes(path.read_bytes()[:-1])  # strip the final newline
+        controller, report = recover(None, path)
+        assert report.torn_tail
+        with Journal(path, fsync="off") as journal:
+            served = DurableController(controller, journal)
+            served.admit(low_task("t3", 0.2))
+        again, _ = recover(None, path)
+        assert served.admitted_ids == ("t0", "t1", "t3")
+        assert again.snapshot() == served.snapshot()
+
+
+# ---------------------------------------------------------------------------
+# the journal holds exactly the task the controller analysed
+# ---------------------------------------------------------------------------
+class TestStrictEncoding:
+    def test_admit_refuses_ids_that_collide_once_encoded(self, tmp_path):
+        """``7`` and ``"07"`` would journal as one vertex: the admit raises
+        before the controller runs, and nothing is recorded."""
+        path = tmp_path / "j.jsonl"
+        task = SporadicDAGTask(
+            dag=DAG({7: 1.0, "07": 2.0}), deadline=10.0, period=10.0,
+            name="t",
+        )
+        with Journal(path, fsync="off") as journal:
+            durable = DurableController(AdmissionController(4), journal)
+            before, committed = durable.snapshot(), path.read_bytes()
+            with pytest.raises(ModelError, match="'07'"):
+                durable.admit(task)
+            assert durable.snapshot() == before
+            assert journal.entries == 1
+        assert path.read_bytes() == committed
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +469,9 @@ class TestCrashInjection:
     ):
         """Byte-granular truncation across the last two journal records:
         every cut either lands on a boundary (clean recovery) or leaves a
-        torn tail that is skipped, recovering the last committed state."""
+        torn tail that is skipped, recovering the last committed state.  A
+        record is committed iff its newline is on disk, so a cut is torn iff
+        it does not end at a newline."""
         _, lines = golden_journal
         base = b"".join(lines[:-2])
         tail = b"".join(lines[-2:])
@@ -405,24 +486,11 @@ class TestCrashInjection:
         for extra in range(len(tail) + 1):
             cut.write_bytes(base + tail[:extra])
             controller, report = recover(checkpoint, cut)
-            # How many of the two tail records survived the cut whole:
-            survived = (
-                base + tail[:extra]
-            ).decode("utf-8", errors="replace").count("\n") - (len(lines) - 2)
-            expect_torn = extra > 0 and survived < 2 and not (
-                tail[:extra].endswith(b"\n")
+            assert report.torn_tail == (
+                not (base + tail[:extra]).endswith(b"\n")
             )
-            # A cut ending exactly at a record's closing brace (newline
-            # missing) still parses -- the record is complete.
-            if expect_torn and extra in (len(lines[-2]) - 1, len(tail) - 1):
-                last_line = (base + tail[:extra]).rsplit(b"\n", 1)[-1]
-                try:
-                    json.loads(last_line)
-                    survived += 1
-                    expect_torn = False
-                except json.JSONDecodeError:
-                    pass
-            assert report.torn_tail == expect_torn
+            # The tail records that survived the cut whole:
+            survived = tail[:extra].count(b"\n")
             k = len(lines) - 2 + survived
             assert controller.snapshot() == boundary_snapshots[k - 1]
 

@@ -1,8 +1,11 @@
 """Unit tests for repro.model.serialization."""
 
 import json
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ModelError
 from repro.model import (
@@ -40,6 +43,78 @@ class TestDecodeVertex:
         reference = _int_or_str(text)
         assert decoded == reference
         assert type(decoded) is type(reference)
+
+
+#: Ids that int() may read alike: small numbers written with leading zeros,
+#: signs, spaces and underscores, a non-ASCII digit, beside names.
+_ID_TEXT = st.one_of(
+    st.builds(
+        str.format,
+        st.sampled_from(["{}", "0{}", " {}", "+{}", "-{}", "1{}", "1_{}", "x{}"]),
+        st.integers(0, 3),
+    ),
+    st.sampled_from(["\u0663", "\u00b2", "_", "+"]),
+)
+_VERTEX_ID = st.one_of(st.integers(-3, 13), _ID_TEXT)
+
+
+class TestStrictCodec:
+    @pytest.mark.parametrize("text", ["01", " 1", "+1", "1_0", "\u0663", "-0"])
+    def test_non_canonical_wcets_key_refused(self, text):
+        with pytest.raises(ModelError, match=re.escape(repr(text))):
+            dag_from_dict({"wcets": {"1": 1.0, text: 2.0}, "edges": []})
+
+    @pytest.mark.parametrize("endpoint", ["01", 1, 1.0, True, None])
+    def test_edge_endpoint_must_be_a_sent_id(self, endpoint):
+        with pytest.raises(ModelError):
+            dag_from_dict({
+                "wcets": {"1": 1.0, "2": 1.0}, "edges": [[endpoint, "2"]],
+            })
+
+    @pytest.mark.parametrize("wcets", [
+        {1: 1.0, "1": 2.0}, {"07": 1.0}, {True: 1.0},
+    ], ids=["int_beside_digit_string", "leading_zero", "bool"])
+    def test_encoder_refuses_ids_that_do_not_round_trip(self, wcets):
+        with pytest.raises(ModelError):
+            dag_to_dict(DAG(wcets))
+
+    @given(
+        ids=st.lists(_VERTEX_ID, min_size=1, max_size=6, unique=True),
+        data=st.data(),
+    )
+    def test_task_round_trips_or_is_refused(self, ids, data):
+        index = st.integers(0, len(ids) - 1)
+        pairs = data.draw(st.lists(st.tuples(index, index), max_size=6))
+        edges = [(ids[i], ids[j]) for i, j in pairs if i < j]  # acyclic
+        task = SporadicDAGTask(
+            dag=DAG({v: 1.0 + k for k, v in enumerate(ids)}, edges),
+            deadline=50.0, period=50.0, name="t",
+        )
+        try:
+            encoded = task_to_dict(task)
+        except ModelError:
+            return
+        back = task_from_dict(json.loads(json.dumps(encoded)))
+        assert back == task
+        assert [type(v) for v in back.dag.wcets] == [type(v) for v in ids]
+
+    @given(texts=st.lists(_ID_TEXT, min_size=1, max_size=6, unique=True),
+           data=st.data())
+    def test_sent_ids_never_merge(self, texts, data):
+        endpoint = st.one_of(st.sampled_from(texts), _ID_TEXT)
+        edges = data.draw(st.lists(
+            st.tuples(endpoint, endpoint), max_size=6, unique=True
+        ))
+        wire = {
+            "wcets": {text: 1.0 for text in texts},
+            "edges": [list(edge) for edge in edges],
+        }
+        try:
+            dag = dag_from_dict(wire)
+        except ModelError:
+            return
+        assert len(dag) == len(texts)
+        assert len(dag.edges) == len(edges)
 
 
 class TestDagRoundTrip:

@@ -32,8 +32,10 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import gc
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -104,6 +106,15 @@ class TestProtocol:
             decode(b"[1, 2, 3]\n")  # an array is not a request
         with pytest.raises(ServiceError):
             decode(b"[" * 100000)  # too deep: the parser's RecursionError
+
+    @pytest.mark.parametrize("line", [
+        b'{"op": "admit", "op": "ping"}\n',
+        b'{"op": "admit", "task": {"dag": {"wcets": {"1": 1, "1": 2}}}}\n',
+        b'{"op": "query", "x": [{"a": 1, "a": 1}]}\n',
+    ], ids=["top_level", "nested", "in_array"])
+    def test_decode_refuses_duplicate_keys_at_any_depth(self, line):
+        with pytest.raises(ServiceError, match="duplicate key"):
+            decode(line)
 
     def test_response_shapes(self):
         ok = ok_response("ping", extra=1)
@@ -335,7 +346,56 @@ async def _rpc(port: int, *requests: dict) -> list[dict]:
     return responses
 
 
+#: The same vertex sent twice under ids int() reads alike.  As sent, volume 6
+#: and density 1.5 need two processors; merged into one vertex of WCET 3,
+#: one processor would admit it.
+_COLLIDING_TASK = {
+    "dag": {"wcets": {"1": 3.0, "01": 3.0}, "edges": []},
+    "deadline": 4.0, "period": 4.0, "name": "x",
+}
+
+
 class TestAdmissionServer:
+    def test_colliding_vertex_ids_are_a_bad_request(self, tmp_path):
+        async def scenario():
+            server = await _start_server(tmp_path, processors=1)
+            try:
+                return await _rpc(
+                    server.tcp_port,
+                    {"op": "admit", "task": _COLLIDING_TASK},
+                    {"op": "query"},
+                )
+            finally:
+                await server.aclose()
+
+        admit, query = asyncio.run(scenario())
+        assert not admit["ok"] and admit["code"] == "bad_request"
+        assert "'01'" in admit["error"]
+        assert query["state"]["seq"] == 0
+        records, _ = Journal.read(tmp_path / "server.jsonl")
+        assert [r["kind"] for r in records] == ["genesis"]
+
+    def test_duplicate_keys_are_a_bad_request(self, tmp_path):
+        async def scenario():
+            server = await _start_server(tmp_path)
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.tcp_port
+                )
+                writer.write(b'{"op": "admit", "op": "ping"}\n')
+                writer.write(encode({"op": "ping"}))
+                await writer.drain()
+                responses = [decode(await reader.readline()) for _ in range(2)]
+                writer.close()
+                return responses
+            finally:
+                await server.aclose()
+
+        duplicate, ping = asyncio.run(scenario())
+        assert not duplicate["ok"] and duplicate["code"] == "bad_request"
+        assert "duplicate key 'op'" in duplicate["error"]
+        assert ping["ok"] and ping["op"] == "ping"
+
     def test_admit_depart_query_round_trip(self, tmp_path):
         async def scenario():
             server = await _start_server(tmp_path)
@@ -841,6 +901,24 @@ class TestGenesisParsing:
     def test_empty_record_list_is_a_service_error(self):
         with pytest.raises(ServiceError):
             controller_from_records([])
+
+    def test_standby_closes_its_journal_when_the_local_replay_fails(
+        self, tmp_path
+    ):
+        """A local journal whose genesis the controller refuses raises from
+        the constructor, and the journal it opened is closed, not leaked."""
+        path = tmp_path / "standby.jsonl"
+        with Journal(path, fsync="off") as journal:
+            journal.append(genesis_record(AdmissionController(4)) | {
+                "processors": 0,
+            })
+        gc.collect()  # only this test's garbage below
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(PersistenceError):
+                StandbyReplica(path, fsync="off")
+            gc.collect()
+        assert not [w for w in caught if str(path) in str(w.message)]
 
 
 # ---------------------------------------------------------------------------
