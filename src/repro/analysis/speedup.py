@@ -12,7 +12,9 @@ FEDCONS with a *speedup bound* (Definition 1), proving ``3 - 1/m``
 * :func:`minimum_fedcons_speed` -- the empirical minimum platform speed at
   which FEDCONS admits a given system (binary search; FEDCONS is
   speed-monotone for uniform WCET scaling because LS schedules scale
-  linearly and the DBF*/rate admission conditions relax monotonically);
+  linearly and the DBF*/rate admission conditions relax monotonically),
+  and :func:`minimum_accepting_speed`, the same search for any test that
+  reads a scaled system;
 * :func:`empirical_speedup_factor` -- the ratio of that speed to the
   necessary-feasibility speed bound, an instance-wise upper bound on
   FEDCONS's true speedup factor.  Theorem 1 guarantees the *true* factor is
@@ -23,10 +25,11 @@ FEDCONS with a *speedup bound* (Definition 1), proving ``3 - 1/m``
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 from repro.errors import AnalysisError
 from repro.analysis.feasibility import necessary_speed_bound
-from repro.core.fedcons import fedcons
+from repro.core.fedcons import fedcons_accepts
 from repro.model.dag import DAG
 from repro.model.task import SporadicDAGTask
 from repro.model.taskset import TaskSystem
@@ -41,23 +44,17 @@ __all__ = [
 ]
 
 
-def minimum_accepting_speed(
-    accepts,
-    system: TaskSystem,
-    tolerance: float = 1e-3,
-    max_speed: float = 1024.0,
+def _least_speed(
+    ok: Callable[[float], bool], tolerance: float, max_speed: float
 ) -> float:
-    """Minimum platform speed at which ``accepts(system.scaled(s))`` is True.
+    """The smallest speed *ok* accepts, to *tolerance*.
 
-    Generic binary search for any schedulability decision that is monotone
-    under uniform WCET scaling (all the tests in this package are).  Returns
-    ``math.inf`` when even *max_speed* is rejected.  The *breakdown
-    utilization* of a decision on a system is ``U_sum / (s_min * m)`` -- the
-    effective normalized load at which the decision flips.
+    If speed 1 passes, bisect ``[0, 1]`` down to an absolute width of
+    *tolerance*; otherwise gallop ``2, 4, 8, ...`` up to *max_speed*
+    (``math.inf`` if none passes) and bisect the last doubling down to a
+    relative width of *tolerance*.  Returns the upper end of the final
+    bracket, a speed *ok* accepted.
     """
-    def ok(speed: float) -> bool:
-        return bool(accepts(system.scaled(speed)))
-
     if ok(1.0):
         low, high = 0.0, 1.0
         while high - low > tolerance:
@@ -82,6 +79,25 @@ def minimum_accepting_speed(
         else:
             low = mid
     return high
+
+
+def minimum_accepting_speed(
+    accepts,
+    system: TaskSystem,
+    tolerance: float = 1e-3,
+    max_speed: float = 1024.0,
+) -> float:
+    """Minimum platform speed at which ``accepts(system.scaled(s))`` is True.
+
+    Generic binary search for any schedulability decision that is monotone
+    under uniform WCET scaling (all the tests in this package are).  Returns
+    ``math.inf`` when even *max_speed* is rejected.  The *breakdown
+    utilization* of a decision on a system is ``U_sum / (s_min * m)`` -- the
+    effective normalized load at which the decision flips.
+    """
+    return _least_speed(
+        lambda speed: bool(accepts(system.scaled(speed))), tolerance, max_speed
+    )
 
 
 def theorem1_bound(processors: int) -> float:
@@ -147,39 +163,18 @@ def minimum_fedcons_speed(
     happens iff some ``vol_i`` is so large that even a very fast platform
     cannot host it, or the platform simply has too few processors for the
     task count in the partition phase).
+
+    Each probe is :func:`~repro.core.fedcons.fedcons_accepts`, so the answer
+    equals ``minimum_accepting_speed(lambda t: fedcons(t, processors).success,
+    system)`` bit for bit while scaling only the high-density tasks' DAGs.
     """
     if processors < 1:
         raise AnalysisError(f"processor count must be >= 1, got {processors}")
-
-    def accepted(speed: float) -> bool:
-        return fedcons(system.scaled(speed), processors).success
-
-    if accepted(1.0):
-        high = 1.0
-        low = 0.0
-        # Shrink below speed 1 to find the true minimum.
-        while high - low > tolerance:
-            mid = 0.5 * (low + high)
-            if mid <= 0:
-                break
-            if accepted(mid):
-                high = mid
-            else:
-                low = mid
-        return high
-    low, high = 1.0, 2.0
-    while high <= max_speed and not accepted(high):
-        low = high
-        high *= 2.0
-    if high > max_speed:
-        return math.inf
-    while high - low > tolerance * high:
-        mid = 0.5 * (low + high)
-        if accepted(mid):
-            high = mid
-        else:
-            low = mid
-    return high
+    return _least_speed(
+        lambda speed: fedcons_accepts(system, processors, speed),
+        tolerance,
+        max_speed,
+    )
 
 
 def empirical_speedup_factor(

@@ -22,6 +22,7 @@ from repro.core.fedcons import (
     FedConsResult,
     HighDensityAllocation,
     fedcons,
+    fedcons_accepts,
 )
 from repro.core.kernels import (
     CompiledDAG,
@@ -93,6 +94,7 @@ __all__ = [
     "fp_exact_test",
     "rbf_approx_test",
     "fedcons",
+    "fedcons_accepts",
     "FedConsResult",
     "FailureReason",
     "HighDensityAllocation",

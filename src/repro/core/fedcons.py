@@ -21,6 +21,12 @@ The returned :class:`FedConsResult` is a complete deployment description --
 which physical processor indices each high-density task owns, its run-time
 template, and the shared-pool partition -- and is directly executable by
 :mod:`repro.sim`.
+
+:func:`fedcons_accepts` answers the same algorithm on a faster platform
+(every WCET divided by the speed) and returns only the verdict; the speed
+searches of :mod:`repro.analysis.speedup` call it once per probe.  It
+scales only what FEDCONS reads: the volume of every task, and the whole DAG
+of a high-density task only (see :func:`_span_within`).
 """
 
 from __future__ import annotations
@@ -31,17 +37,18 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ModelError
 from repro.core.minprocs import MinProcsResult, minprocs
 from repro.core.partition import (
     AdmissionTest,
     FitStrategy,
     PartitionResult,
     TaskOrder,
-    partition,
+    partition_sporadic,
 )
 from repro.core.schedule import Schedule
 from repro.model.dag import VertexId
+from repro.model.sporadic import SporadicTask
 from repro.model.task import SporadicDAGTask
 from repro.model.taskset import TaskSystem
 from repro.obs.events import PhaseComplete, Rejection, current_context
@@ -54,6 +61,7 @@ __all__ = [
     "HighDensityAllocation",
     "FedConsResult",
     "fedcons",
+    "fedcons_accepts",
 ]
 
 _log = get_logger(__name__)
@@ -201,6 +209,50 @@ def fedcons(
         If the system is not constrained-deadline (``D_i > T_i`` somewhere);
         FEDCONS's per-dag-job template argument is invalid in that case.
     """
+    return _run(
+        system, processors, None, ls_order, partition_order, partition_fit,
+        partition_admission,
+    )
+
+
+def fedcons_accepts(
+    system: TaskSystem | Sequence[SporadicDAGTask],
+    processors: int,
+    speed: float,
+) -> bool:
+    """Whether FEDCONS admits *system* on *processors* speed-*speed* processors.
+
+    The verdict of ``fedcons(system.scaled(speed), processors).success``,
+    probe for probe, without the scaled system: a low-density task reaches
+    PARTITION as ``(vol(s), D, T)`` and only a high-density task is scaled
+    into a DAG (MINPROCS schedules it).  Only the verdict is returned: a
+    deployment built this way would name unscaled tasks.
+
+    Raises
+    ------
+    AnalysisError
+        If *processors* < 1.
+    repro.errors.ModelError
+        If *speed* is not positive, a scaled WCET is not positive and finite
+        (``DAG.scaled``'s errors, word for word), or some ``D_i > T_i``.
+    """
+    if speed <= 0:
+        raise ModelError(f"speed must be positive, got {speed!r}")
+    return _run(
+        system, processors, speed, "longest_path", TaskOrder.DEADLINE,
+        FitStrategy.FIRST_FIT, AdmissionTest.DBF_APPROX,
+    ).success
+
+
+def _run(
+    system: TaskSystem | Sequence[SporadicDAGTask],
+    processors: int,
+    speed: float | None,
+    ls_order: str | Sequence[VertexId],
+    partition_order: TaskOrder,
+    partition_fit: FitStrategy,
+    partition_admission: AdmissionTest,
+) -> FedConsResult:
     if processors < 1:
         raise AnalysisError(f"platform must have >= 1 processor, got {processors}")
     if not isinstance(system, TaskSystem):
@@ -208,8 +260,8 @@ def fedcons(
     system.validate_constrained()
     with _span("fedcons", tasks=len(system), processors=processors) as sp:
         result = _fedcons(
-            system, processors, ls_order, partition_order, partition_fit,
-            partition_admission,
+            system, processors, speed, ls_order, partition_order,
+            partition_fit, partition_admission,
         )
         sp.set(
             success=result.success,
@@ -218,23 +270,60 @@ def fedcons(
         return result
 
 
+#: ``2 ** -50``: eight units in the last place of 1.0 (see _span_within).
+_EIGHT_ULPS = 2.0**-50
+#: The largest DAG the rounding bound in _span_within covers.
+_SPAN_BOUND_MAX_VERTICES = 2**26
+
+
+def _span_within(volume: float, vertices: int, deadline: float) -> bool:
+    """A proof, without the chain DP, that a scaled DAG's span is <= D.
+
+    ``volume`` is ``vol(s)`` of a DAG of ``vertices`` jobs as ``sum()``
+    computes it; True guarantees that the chain DP of the scaled copy
+    (``DAG.scaled(s).longest_chain_length``) returns a float ``<= deadline``.
+    False proves nothing: the caller runs the DP.
+
+    Let ``q_i`` be the scaled WCETs, ``Q`` their exact sum, ``n`` the vertex
+    count and ``u = 2**-53``.  The DP's span is a left-to-right float sum
+    along one chain; each addition of non-negative terms rounds up by at
+    most a factor ``1 + u`` (a subnormal sum is exact), so
+    ``span <= (1 + u)**(n - 1) * Q``.  ``sum()`` adds left to right before
+    Python 3.12, so ``vol >= Q / (1 + u)**(n - 1)``; from 3.12 it
+    compensates, and for ``n < 2**26`` then ``vol >= Q * (1 - 2u)``.  Either
+    way ``span <= vol * (1 + (2n + 2) u)`` up to terms in ``(nu)**2``,
+    which are below ``u / 2`` for ``n < 2**26``.  The factor
+    ``1 + n * 2**-50 = 1 + 8nu`` is exact for ``n < 2**26``, and the
+    rounded product ``vol * (1 + 8nu)`` is at least
+    ``vol * (1 + 8nu) / (1 + u)``, which exceeds that bound by at least
+    ``3u * vol`` for every ``n >= 1``.  If the product is subnormal, every
+    sum involved is exact, so ``span <= Q = vol <= deadline``; if it
+    overflows, the test fails.
+    """
+    return (
+        vertices < _SPAN_BOUND_MAX_VERTICES
+        and volume * (1.0 + vertices * _EIGHT_ULPS) <= deadline
+    )
+
+
 def _fedcons(
     system: TaskSystem,
     processors: int,
+    speed: float | None,
     ls_order: str | Sequence[VertexId],
     partition_order: TaskOrder,
     partition_fit: FitStrategy,
     partition_admission: AdmissionTest,
 ) -> FedConsResult:
+    """FEDCONS on unit-speed processors (``speed`` None) or on a faster
+    platform, where each task is seen with its WCETs divided by ``speed``
+    (then the result is a verdict only: ``partition.dag_tasks`` and
+    ``failed_task`` name the unscaled tasks)."""
 
     ctx = current_context()
     started = time.perf_counter()
     if _metrics.enabled:
         _metrics.incr("fedcons_invocations")
-    _log.debug(
-        "FEDCONS start: %d tasks (%d high-density) on m=%d",
-        len(system), len(system.high_density_tasks), processors,
-    )
 
     def _finish(result: FedConsResult) -> FedConsResult:
         _metrics.record_time("fedcons.total_seconds", time.perf_counter() - started)
@@ -257,36 +346,71 @@ def _fedcons(
             )
         return result
 
-    # A task whose critical path exceeds its deadline is infeasible on any
-    # platform of any speed; report that distinctly from resource exhaustion.
+    # One pass over the tasks.  It splits them by density: a high-density
+    # task goes to MINPROCS as a DAG task (scaled when a speed is given), a
+    # low-density one to PARTITION as (vol_i, D_i, T_i) named as
+    # partition() names it.  It also finds the first task whose critical
+    # path exceeds its deadline: such a task is infeasible on any platform,
+    # which is reported apart from resource exhaustion.  With a speed, every
+    # task's vol(s) is computed even past that task, because a scaled WCET
+    # that is not representable raises before any verdict, as
+    # TaskSystem.scaled would.
     phase_start = time.perf_counter()
+    high: list[SporadicDAGTask] = []
+    low: list[SporadicTask] = []
+    dag_tasks: dict[str, SporadicDAGTask] = {}
+    infeasible: SporadicDAGTask | None = None
     for task in system:
-        if task.span > task.deadline:
-            if ctx is not None:
-                name = task.name or repr(task)
-                ctx.record(
-                    Rejection(
-                        phase="validate",
-                        reason=FailureReason.STRUCTURALLY_INFEASIBLE.value,
-                        task=name,
-                        detail={
-                            "span": task.span,
-                            "deadline": task.deadline,
-                            "margin": task.deadline - task.span,
-                        },
-                    )
-                )
-            return _finish(
-                FedConsResult(
-                    success=False,
-                    total_processors=processors,
-                    allocations=(),
-                    shared_processors=tuple(range(processors)),
-                    partition=None,
-                    reason=FailureReason.STRUCTURALLY_INFEASIBLE,
-                    failed_task=task,
+        if speed is None:
+            view: SporadicDAGTask | None = task
+            volume = task.volume
+        else:
+            view = None
+            volume = task.dag.scaled_volume(speed)
+        if infeasible is not None:
+            continue
+        deadline = task.deadline
+        if volume / min(deadline, task.period) >= 1.0:  # delta_i >= 1
+            if view is None:
+                view = task.scaled(speed)
+            high.append(view)
+        else:
+            name = task.name or f"task#{len(low)}"
+            low.append(SporadicTask(volume, deadline, task.period, name))
+            dag_tasks[name] = task
+            if view is None and not _span_within(volume, len(task.dag), deadline):
+                view = task.scaled(speed)
+        if view is not None and view.span > deadline:
+            infeasible = view
+    if infeasible is not None:
+        if ctx is not None:
+            ctx.record(
+                Rejection(
+                    phase="validate",
+                    reason=FailureReason.STRUCTURALLY_INFEASIBLE.value,
+                    task=infeasible.name or repr(infeasible),
+                    detail={
+                        "span": infeasible.span,
+                        "deadline": infeasible.deadline,
+                        "margin": infeasible.deadline - infeasible.span,
+                    },
                 )
             )
+        return _finish(
+            FedConsResult(
+                success=False,
+                total_processors=processors,
+                allocations=(),
+                shared_processors=tuple(range(processors)),
+                partition=None,
+                reason=FailureReason.STRUCTURALLY_INFEASIBLE,
+                failed_task=infeasible,
+            )
+        )
+    _log.debug(
+        "FEDCONS: %d tasks (%d high-density) on m=%d",
+        len(system), len(high), processors,
+    )
     if ctx is not None:
         ctx.record(
             PhaseComplete(
@@ -301,7 +425,7 @@ def _fedcons(
     remaining = processors  # m_r of the pseudo-code
     next_free = 0  # physical processors are granted left-to-right
     allocations: list[HighDensityAllocation] = []
-    for task in system.high_density_tasks:
+    for task in high:
         result: MinProcsResult | None = minprocs(task, remaining, order=ls_order)
         if result is None:
             name = task.name or repr(task)
@@ -383,18 +507,24 @@ def _fedcons(
 
     phase_start = time.perf_counter()
     shared = tuple(range(next_free, processors))
-    low = system.low_density_tasks
     with _span(
         "fedcons.partition", tasks=len(low), processors=remaining
     ) as part_span:
-        part = partition(
+        placed = partition_sporadic(
             low,
             remaining,
             order=partition_order,
             fit=partition_fit,
             admission=partition_admission,
         )
-        part_span.set(success=part.success)
+        part_span.set(success=placed.success)
+    part = PartitionResult(
+        success=placed.success,
+        assignment=placed.assignment,
+        processors=placed.processors,
+        failed_task=placed.failed_task,
+        dag_tasks=dag_tasks,
+    )
     partition_elapsed = time.perf_counter() - phase_start
     _metrics.record_time("fedcons.partition_seconds", partition_elapsed)
     if ctx is not None:

@@ -18,13 +18,15 @@ Three kernels live here:
 
 :class:`CompiledDAG`
     an int-indexed flat view of a :class:`~repro.model.dag.DAG` (WCET vector,
-    CSR successor/predecessor adjacency, indegree template, upward ranks,
+    CSR successor adjacency, indegree template, upward ranks,
     per-named-order priority permutations), compiled once per DAG and
     memoized on the DAG instance (plus the digest-keyed ``compiled`` LRU when
-    the analysis caches are on).  :func:`ls_run` then executes Graham LS as
-    an index-based heap loop with no ``repr`` churn, no per-call priority
-    re-sort, no ``dict(dag.wcets)`` copy, and no dict-keyed heaps --
-    MINPROCS reuses one artifact across all its mu attempts.
+    the analysis caches are on); a scaled copy's artifact shares its
+    original's structure and computes only what depends on the WCETs.
+    :func:`ls_run` then executes Graham LS as an index-based heap loop with
+    no ``repr`` churn, no per-call priority re-sort, no ``dict(dag.wcets)``
+    copy, and no dict-keyed heaps -- MINPROCS reuses one artifact across
+    all its mu attempts.
 
 :func:`dbf_star_totals` / :func:`dbf_star_all_within`
     ``sum_i DBF*(tau_i, t)`` over a whole vector of test points in one numpy
@@ -140,7 +142,9 @@ class CompiledDAG:
     Vertex ``i`` is the ``i``-th vertex of ``dag.vertices`` (the DAG's
     canonical topological order); the artifact holds no reference back to the
     DAG, so it can live in the digest-keyed analysis cache without pinning
-    model objects.
+    model objects.  Nothing mutates ``vertices``, ``index``, the successor
+    CSR or the indegree template after construction, so :meth:`rescaled`
+    shares them between an original and its scaled copies.
     """
 
     __slots__ = (
@@ -149,8 +153,6 @@ class CompiledDAG:
         "wcet",
         "succ_indptr",
         "succ_indices",
-        "pred_indptr",
-        "pred_indices",
         "indegree",
         "_upward",
         "_priority",
@@ -167,24 +169,41 @@ class CompiledDAG:
         self.wcet = [dag.wcet(v) for v in verts]
         succ_indptr = [0]
         succ_indices: list[int] = []
-        pred_indptr = [0]
-        pred_indices: list[int] = []
         for v in verts:
             succ_indices.extend(index[s] for s in dag.successors(v))
             succ_indptr.append(len(succ_indices))
-            pred_indices.extend(index[p] for p in dag.predecessors(v))
-            pred_indptr.append(len(pred_indices))
         #: CSR adjacency: successors of ``i`` are
         #: ``succ_indices[succ_indptr[i]:succ_indptr[i + 1]]``.
         self.succ_indptr = succ_indptr
         self.succ_indices = succ_indices
-        #: CSR adjacency of immediate predecessors (same layout).
-        self.pred_indptr = pred_indptr
-        self.pred_indices = pred_indices
         #: Indegree template; :func:`ls_run` copies it per run.
-        self.indegree = [pred_indptr[i + 1] - pred_indptr[i] for i in range(len(verts))]
+        indegree = [0] * len(verts)
+        for j in succ_indices:
+            indegree[j] += 1
+        self.indegree = indegree
         self._upward: list[float] | None = None
         self._priority: dict[str, list[int]] = {}
+
+    def rescaled(self, dag: DAG) -> "CompiledDAG":
+        """The artifact of *dag*, a scaled copy of the DAG compiled here.
+
+        ``DAG.scaled`` keeps the original's topological order and successor
+        map, so the copy's vertex index, successor CSR and indegree template
+        are this artifact's; they are shared by reference.  Only the WCET
+        vector is computed (the upward ranks and priority permutations are
+        computed on first use, as for any artifact).  The result equals
+        ``CompiledDAG(dag)`` field by field.
+        """
+        copy = CompiledDAG.__new__(CompiledDAG)
+        copy.vertices = self.vertices
+        copy.index = self.index
+        copy.wcet = [dag.wcet(v) for v in self.vertices]
+        copy.succ_indptr = self.succ_indptr
+        copy.succ_indices = self.succ_indices
+        copy.indegree = self.indegree
+        copy._upward = None
+        copy._priority = {}
+        return copy
 
     def __len__(self) -> int:
         return len(self.wcet)
@@ -251,12 +270,16 @@ def compile_dag(dag: DAG) -> CompiledDAG:
 
     Compiled once per DAG instance; when the analysis caches are enabled the
     artifact is additionally shared across digest-equal DAG instances via
-    ``caches.compiled``.
+    ``caches.compiled``.  A scaled copy (``DAG.scaled``) is not compiled
+    from scratch: its artifact is its original's, through
+    :meth:`CompiledDAG.rescaled`, with no digest and no cache lookup.
     """
     compiled = dag._compiled
     if compiled is not None:
         return compiled
-    if _caches.enabled:
+    if dag._origin is not None:
+        compiled = compile_dag(dag._origin).rescaled(dag)
+    elif _caches.enabled:
         key = dag.digest()
         hit = _caches.compiled.get(key)
         if hit is not MISSING:

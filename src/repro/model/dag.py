@@ -73,6 +73,7 @@ class DAG:
         "_hash",
         "_digest",
         "_compiled",
+        "_origin",
     )
 
     def __init__(
@@ -112,6 +113,9 @@ class DAG:
         # Lazily-populated CompiledDAG (repro.core.kernels); excluded from
         # pickling so worker processes and journals never carry it.
         self._compiled: Any = None
+        # The unscaled DAG a scaled copy shares its structure with (None
+        # for a DAG built from scratch); also excluded from pickling.
+        self._origin: DAG | None = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -228,11 +232,12 @@ class DAG:
         )
 
     def __getstate__(self) -> dict:
-        """Pickle every slot except the per-instance compiled-kernel artifact."""
+        """Pickle every slot except the compiled-kernel artifact and the
+        link to the DAG a scaled copy was made from."""
         return {
             slot: getattr(self, slot)
             for slot in DAG.__slots__
-            if slot != "_compiled"
+            if slot not in ("_compiled", "_origin")
         }
 
     def __setstate__(self, state: dict) -> None:
@@ -240,6 +245,7 @@ class DAG:
         for slot, value in state.items():
             setattr(self, slot, value)
         self._compiled = None
+        self._origin = None
 
     def digest(self) -> str:
         """A canonical content digest of this DAG (hex string).
@@ -421,7 +427,9 @@ class DAG:
         builds the predecessor map in the rebuild's order (each vertex's
         predecessors as the walk over the successor map meets them, which
         can differ from this DAG's).  Only the WCETs, the volume and the
-        longest chain are computed anew.
+        longest chain are computed anew.  The copy remembers the unscaled
+        DAG, so :func:`repro.core.kernels.compile_dag` can share the
+        original's compiled structure with it.
 
         Raises
         ------
@@ -451,7 +459,34 @@ class DAG:
         dag._hash = None
         dag._digest = None
         dag._compiled = None
+        dag._origin = self if self._origin is None else self._origin
         return dag
+
+    def scaled_volume(self, speed: float) -> float:
+        """``self.scaled(speed).volume``, without building the copy.
+
+        The same quotients ``w / speed`` go through the same ``sum()`` in
+        the same (insertion) order, so the float is the same on every
+        Python version; from 3.12 on ``sum()`` of floats is compensated, so
+        a hand-written accumulation loop would match on older versions only.
+        Raises exactly what :meth:`scaled` raises, with the same text.
+
+        Every quotient is positive and finite iff the sum is finite (an
+        infinite or NaN term makes it infinite or NaN) and the smallest
+        WCET's quotient is positive (division by a positive speed is
+        monotone in the dividend).  Only otherwise is the first bad
+        quotient searched for, in :meth:`scaled`'s order, to raise its
+        error; a sum that overflows from finite terms raises nothing, as in
+        :meth:`scaled`.
+        """
+        if speed <= 0:
+            raise ModelError(f"speed must be positive, got {speed!r}")
+        values = self._wcets.values()
+        volume = float(sum([w / speed for w in values]))
+        if not (volume < math.inf and min(values) / speed > 0.0):
+            for v, w in self._wcets.items():
+                _check_wcet(v, w / speed)
+        return volume
 
     def parallelism_profile(self) -> list[tuple[float, int]]:
         """Degree of parallelism over time of the greedy unlimited-processor run.

@@ -122,13 +122,21 @@ def task_to_dict(task: SporadicDAGTask) -> dict[str, Any]:
 
 
 def task_from_dict(data: dict[str, Any]) -> SporadicDAGTask:
-    """Decode a task from :func:`task_to_dict` output."""
+    """Decode a task from :func:`task_to_dict` output.
+
+    A missing name decodes to ``""``; a name that is not a string is
+    refused rather than turned into one (``null`` would become ``"None"``
+    and ``7`` the same task id as ``"7"``).
+    """
+    name = data.get("name", "") if isinstance(data, dict) else ""
+    if not isinstance(name, str):
+        raise ModelError(f"task name must be a string, got {name!r}")
     try:
         return SporadicDAGTask(
             dag=dag_from_dict(data["dag"]),
             deadline=float(data["deadline"]),
             period=float(data["period"]),
-            name=str(data.get("name", "")),
+            name=name,
         )
     except (KeyError, TypeError) as exc:
         raise ModelError(f"malformed task dictionary: {exc}") from exc

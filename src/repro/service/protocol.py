@@ -83,13 +83,17 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def decode(line: bytes | str) -> dict:
     """Parse one protocol line into a request/response object.
 
-    Raises :class:`ServiceError` on unparsable JSON (nesting too deep for
-    the parser included), an object that repeats a key at any depth, or a
-    non-object payload -- the server answers those with an error response
-    instead of dropping the connection.
+    Raises :class:`ServiceError` on bytes that are not UTF-8, unparsable
+    JSON (nesting too deep for the parser included), an object that repeats
+    a key at any depth, or a non-object payload -- the server answers those
+    with an error response instead of dropping the connection.  Decoding is
+    strict: replacing bad bytes would make two different task names one.
     """
     if isinstance(line, bytes):
-        line = line.decode("utf-8", errors="replace")
+        try:
+            line = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ServiceError(f"protocol line is not UTF-8: {exc}") from exc
     try:
         message = json.loads(line, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:

@@ -26,6 +26,13 @@ system through *all* of them and asserts every relation at once:
     An accepted deployment must simulate with **zero** deadline misses,
     under the synchronous-periodic WCET pattern and under a sporadic
     early-completion pattern (the anomaly-prone one).
+``speed_view_identity``
+    :func:`~repro.analysis.speedup.minimum_fedcons_speed`, whose probes see
+    the system through :func:`~repro.core.fedcons.fedcons_accepts`, must
+    return the same float as the same search over scaled copies
+    (``fedcons(system.scaled(s), m).success``).  Two bisections end on the
+    same speed only if every probe verdict agreed, so one check covers
+    every probe.
 
 :func:`check_system` evaluates one instance; :func:`run_conformance`
 drives a stream of them and aggregates a :class:`ConformanceReport`.
@@ -53,6 +60,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.analysis.speedup import minimum_accepting_speed, minimum_fedcons_speed
 from repro.core.dbf import edf_approx_test, edf_exact_test
 from repro.core.fedcons import FedConsResult, fedcons
 from repro.core.kernels import use_kernels
@@ -86,6 +94,7 @@ RELATIONS = (
     "approx_implies_exact",
     "online_matches_batch",
     "analytic_implies_simulation",
+    "speed_view_identity",
 )
 
 _EXP_ID = "CONF"  # seed-derivation namespace for the random stream
@@ -349,6 +358,27 @@ def _check_analytic_implies_simulation(
     return checks
 
 
+def _check_speed_view_identity(
+    instance: ConformanceInstance, violations: list[Violation]
+) -> int:
+    """The speed search over the speed view == over scaled copies."""
+    processors = instance.processors
+    view = minimum_fedcons_speed(instance.system, processors)
+    oracle = minimum_accepting_speed(
+        lambda scaled: fedcons(scaled, processors).success, instance.system
+    )
+    if view != oracle:
+        violations.append(
+            Violation(
+                "speed_view_identity",
+                instance.label,
+                f"minimum_fedcons_speed returned {view!r}, the search over "
+                f"scaled copies {oracle!r}",
+            )
+        )
+    return 1
+
+
 def check_system(
     instance: ConformanceInstance,
     seed: int = 0,
@@ -358,8 +388,8 @@ def check_system(
     """Run one instance through every analysis path and relation.
 
     Returns the per-relation check counts and any violations.  *simulate* /
-    *online* gate the two expensive legs (the kernel and approx/exact legs
-    always run).
+    *online* gate the two expensive legs (the kernel, approx/exact and
+    speed-view legs always run).
     """
     violations: list[Violation] = []
     checks: Counter = Counter()
@@ -367,6 +397,9 @@ def check_system(
     checks["kernel_identity"] += n
     checks["approx_implies_exact"] += _check_approx_implies_exact(
         instance, result, violations
+    )
+    checks["speed_view_identity"] += _check_speed_view_identity(
+        instance, violations
     )
     if online:
         checks["online_matches_batch"] += _check_online_matches_batch(

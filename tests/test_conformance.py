@@ -13,6 +13,7 @@ batch keeps the tier-1 suite fast while covering every code path.
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -87,6 +88,18 @@ class TestCheckSystem:
         assert not violations
         assert checks["analytic_implies_simulation"] == 0
         assert checks["kernel_identity"] > 0
+
+    def test_speed_view_divergence_is_a_violation(self, monkeypatch):
+        import repro.testing.conformance as mod
+
+        monkeypatch.setattr(
+            mod, "minimum_fedcons_speed", lambda system, m: math.inf
+        )
+        checks, violations = check_system(
+            _mixed_instance(), simulate=False, online=False
+        )
+        assert checks["speed_view_identity"] == 1
+        assert [v.relation for v in violations] == ["speed_view_identity"]
 
     def test_legs_can_be_gated(self):
         checks, _ = check_system(

@@ -78,6 +78,19 @@ class TestStrictCodec:
         with pytest.raises(ModelError):
             dag_to_dict(DAG(wcets))
 
+    @pytest.mark.parametrize("name", [None, 7, [1], True],
+                             ids=["null", "int", "list", "bool"])
+    def test_non_string_task_name_refused(self, name):
+        wire = task_to_dict(SporadicDAGTask(DAG({0: 1.0}), 4.0, 4.0))
+        wire["name"] = name
+        with pytest.raises(ModelError, match="task name must be a string"):
+            task_from_dict(json.loads(json.dumps(wire)))
+
+    def test_missing_task_name_decodes_empty(self):
+        wire = task_to_dict(SporadicDAGTask(DAG({0: 1.0}), 4.0, 4.0))
+        del wire["name"]
+        assert task_from_dict(wire).name == ""
+
     @given(
         ids=st.lists(_VERTEX_ID, min_size=1, max_size=6, unique=True),
         data=st.data(),

@@ -116,6 +116,15 @@ class TestProtocol:
         with pytest.raises(ServiceError, match="duplicate key"):
             decode(line)
 
+    def test_decode_refuses_invalid_utf8(self):
+        # Replacing bad bytes would decode both names as "a\ufffd".
+        for byte in (b"\xff", b"\xfe"):
+            with pytest.raises(ServiceError, match="not UTF-8"):
+                decode(b'{"op": "depart", "task_id": "a' + byte + b'"}\n')
+        assert decode('{"task_id": "a\u00ff"}'.encode()) == {
+            "task_id": "a\u00ff"
+        }
+
     def test_response_shapes(self):
         ok = ok_response("ping", extra=1)
         assert ok["ok"] and ok["op"] == "ping" and ok["extra"] == 1
@@ -355,6 +364,24 @@ _COLLIDING_TASK = {
 }
 
 
+async def _http_exchange(port: int, raw: bytes) -> tuple[str, bytes]:
+    """Send one raw HTTP request to the shim; its status line and body."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(raw)
+    await writer.drain()
+    response = await reader.read()
+    writer.close()
+    head, _, body = response.partition(b"\r\n\r\n")
+    status = head.split(b"\r\n")[0].decode().split(" ", 1)[1]
+    return status, body
+
+
+def _http_post(path: str, body: bytes) -> bytes:
+    return (
+        f"POST {path} HTTP/1.0\r\nContent-Length: {len(body)}\r\n\r\n"
+    ).encode() + body
+
+
 class TestAdmissionServer:
     def test_colliding_vertex_ids_are_a_bad_request(self, tmp_path):
         async def scenario():
@@ -395,6 +422,39 @@ class TestAdmissionServer:
         assert not duplicate["ok"] and duplicate["code"] == "bad_request"
         assert "duplicate key 'op'" in duplicate["error"]
         assert ping["ok"] and ping["op"] == "ping"
+
+    def test_non_utf8_and_non_string_names_are_bad_requests(self, tmp_path):
+        def admit_line(name: bytes) -> bytes:
+            return (
+                b'{"op": "admit", "task": {"dag": {"wcets": {"0": 1.0}, '
+                b'"edges": []}, "deadline": 4.0, "period": 4.0, "name": '
+                + name + b"}}\n"
+            )
+
+        async def scenario():
+            server = await _start_server(tmp_path)
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.tcp_port
+                )
+                for name in (b'"a\xff"', b'"a\xfe"', b"null", b"7"):
+                    writer.write(admit_line(name))
+                writer.write(encode({"op": "query"}))
+                await writer.drain()
+                responses = [decode(await reader.readline()) for _ in range(5)]
+                writer.close()
+                return responses
+            finally:
+                await server.aclose()
+
+        *admits, query = asyncio.run(scenario())
+        assert [a["code"] for a in admits] == ["bad_request"] * 4
+        assert all("not UTF-8" in a["error"] for a in admits[:2])
+        assert all("task name must be a string" in a["error"]
+                   for a in admits[2:])
+        assert query["state"]["seq"] == 0
+        records, _ = Journal.read(tmp_path / "server.jsonl")
+        assert [r["kind"] for r in records] == ["genesis"]
 
     def test_admit_depart_query_round_trip(self, tmp_path):
         async def scenario():
@@ -645,22 +705,10 @@ class TestAdmissionServer:
         assert cursor.acked == cursor.streamed and cursor.lag == 0
 
     def test_http_shim(self, tmp_path):
-        async def http(port, raw):
-            reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            writer.write(raw)
-            await writer.drain()
-            response = await reader.read()
-            writer.close()
-            head, _, body = response.partition(b"\r\n\r\n")
-            status = head.split(b"\r\n")[0].decode().split(" ", 1)[1]
-            return status, body
+        http = _http_exchange
 
         def post(path, payload):
-            body = json.dumps(payload).encode()
-            return (
-                f"POST {path} HTTP/1.0\r\n"
-                f"Content-Length: {len(body)}\r\n\r\n"
-            ).encode() + body
+            return _http_post(path, json.dumps(payload).encode())
 
         async def scenario():
             server = await _start_server(tmp_path, http=True)
@@ -738,6 +786,40 @@ class TestAdmissionServer:
         status, body = results["concurrent"]
         assert status == "200 OK"
         assert json.loads(body)["decision"]["accepted"]
+
+    def test_http_non_utf8_and_non_string_names_are_bad_requests(
+        self, tmp_path
+    ):
+        task = b'{"dag": {"wcets": {"0": 1.0}, "edges": []}, "deadline": 4.0, '
+        bodies = [
+            task + b'"period": 4.0, "name": "a\xff"}',
+            task + b'"period": 4.0, "name": null}',
+            b'{"task_id": "a\xfe"}',
+        ]
+
+        async def scenario():
+            server = await _start_server(tmp_path, http=True)
+            try:
+                return [
+                    await _http_exchange(
+                        server.http_port, _http_post(path, body)
+                    )
+                    for path, body in zip(
+                        ("/admit", "/admit", "/depart"), bodies
+                    )
+                ]
+            finally:
+                await server.aclose()
+
+        answers = asyncio.run(scenario())
+        for status, body in answers:
+            assert status == "400 Bad Request"
+            assert json.loads(body)["code"] == "bad_request"
+        errors = [json.loads(body)["error"] for _, body in answers]
+        assert "not UTF-8" in errors[0] and "not UTF-8" in errors[2]
+        assert "task name must be a string" in errors[1]
+        records, _ = Journal.read(tmp_path / "server.jsonl")
+        assert [r["kind"] for r in records] == ["genesis"]
 
 
 # ---------------------------------------------------------------------------
